@@ -397,41 +397,20 @@ impl Metal {
 }
 
 impl Hooks for Metal {
-    fn fetch(&mut self, state: &mut MachineState, pc: u32) -> Option<Result<(u32, u32), Trap>> {
-        // PALcode-style mroutines execute with translation off.
-        if self.in_palcode(pc) && self.mode() != Mode::Normal {
-            return Some(Self::palcode_fetch(state, pc));
-        }
-        if !self.mram.contains_pc(pc) {
-            return None;
-        }
-        // MRAM is executable only in Metal mode; normal-mode jumps into
-        // the window fault.
-        if self.mode() == Mode::Normal {
-            return Some(Err(Trap::new(TrapCause::InsnAccessFault, pc)));
-        }
-        if let Some(trap) = self.verify_mram_code(pc) {
-            return Some(Err(trap));
-        }
-        Some(
-            self.mram
-                .code_word(pc)
-                .map(|word| (word, self.mram.fetch_latency()))
-                .map_err(|_| Trap::new(TrapCause::InsnAccessFault, pc)),
-        )
-    }
-
     fn fetch_decoded(
         &mut self,
         state: &mut MachineState,
         pc: u32,
     ) -> Option<Result<(DecodedInsn, u32), Trap>> {
+        // PALcode-style mroutines execute with translation off.
         if self.in_palcode(pc) && self.mode() != Mode::Normal {
             return Some(Self::palcode_fetch(state, pc).map(|(word, lat)| (decode_to(word), lat)));
         }
         if !self.mram.contains_pc(pc) {
             return None;
         }
+        // MRAM is executable only in Metal mode; normal-mode jumps into
+        // the window fault.
         if self.mode() == Mode::Normal {
             return Some(Err(Trap::new(TrapCause::InsnAccessFault, pc)));
         }
@@ -541,32 +520,19 @@ impl Hooks for Metal {
                     }
                 }
                 // A nested mexit unwinds into the *outer mroutine*, whose
-                // code lives in MRAM; only the outermost mexit returns to
-                // the normal fetch path.
-                let fetched = if self.mram.contains_pc(target) {
-                    if self.mode() == Mode::Normal {
-                        Err(Trap::new(TrapCause::InsnAccessFault, target))
-                    } else if let Some(trap) = self.verify_mram_code(target) {
-                        Err(trap)
-                    } else {
-                        self.mram
-                            .code_word(target)
-                            .map(|word| (word, self.mram.fetch_latency()))
-                            .map_err(|_| Trap::new(TrapCause::InsnAccessFault, target))
-                    }
-                } else if self.in_palcode(target) && self.mode() != Mode::Normal {
-                    Self::palcode_fetch(state, target)
-                } else {
-                    state.fetch(target)
-                };
+                // code lives in MRAM (or the PALcode image); only the
+                // outermost mexit returns to the normal fetch path.
+                let fetched = self
+                    .fetch_decoded(state, target)
+                    .unwrap_or_else(|| state.fetch_decoded(target));
                 match fetched {
-                    Ok((word, latency)) => {
+                    Ok((insn, latency)) => {
                         let mut stall = latency.saturating_sub(1);
                         if !self.config.decode_replacement {
                             stall += 2;
                         }
                         DecodeOutcome::Replace {
-                            word,
+                            word: insn.word,
                             pc: target,
                             next_fetch: target.wrapping_add(4),
                             stall,

@@ -2,10 +2,10 @@
 //! classification against the golden state.
 //!
 //! Each case is an independent function of `(campaign seed, case
-//! index)`: the case seed is derived by splitmix-mixing the two, so a
-//! campaign sharded over N worker threads produces *bit-identical*
-//! results for any `--jobs` value — shards own contiguous index
-//! ranges and the merged outcome vector is always in index order.
+//! index)`: the case seed is derived by splitmix-mixing the two, and
+//! the campaign runner ([`metal_util::campaign`]) collects outcomes in
+//! index order, so a campaign on N worker threads produces
+//! *bit-identical* results for any `--jobs` value.
 //!
 //! Per case: build the victim, snapshot it pristine, run it clean to
 //! capture the **golden** digest, then rewind, step to a seeded
@@ -41,7 +41,7 @@ use metal_pipeline::state::{CoreConfig, TranslationMode};
 use metal_pipeline::{Core, Engine, HaltReason, Interp};
 use metal_trace::FaultSite;
 use metal_util::json::Json;
-use metal_util::Rng;
+use metal_util::{campaign, Rng};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -396,7 +396,7 @@ impl Report {
 }
 
 /// Mixes the campaign seed with a global case index. Deliberately
-/// *not* a function of the shard, so sharding cannot change results.
+/// *not* a function of the worker, so `--jobs` cannot change results.
 #[must_use]
 pub fn case_seed(seed: u64, index: u64) -> u64 {
     Rng::new(seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))).next_u64()
@@ -412,25 +412,15 @@ pub fn run(cfg: &CampaignConfig) -> Report {
 }
 
 fn run_typed<E: FaultTarget>(cfg: &CampaignConfig) -> Report {
-    let outcomes: Vec<CaseOutcome> = if cfg.jobs <= 1 || cfg.cases < 2 {
-        (0..cfg.cases).map(|i| run_case::<E>(cfg, i)).collect()
-    } else {
-        let jobs = cfg.jobs.min(cfg.cases as usize);
-        let per = (cfg.cases as usize).div_ceil(jobs);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|k| {
-                    let lo = (k * per) as u64;
-                    let hi = (((k + 1) * per) as u64).min(cfg.cases);
-                    scope.spawn(move || (lo..hi).map(|i| run_case::<E>(cfg, i)).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        })
-    };
+    let mut outcomes = Vec::new();
+    campaign::run(
+        cfg.jobs,
+        Some(cfg.cases),
+        None,
+        || (),
+        |(), index| run_case::<E>(cfg, index),
+        |_, outcome| outcomes.push(outcome),
+    );
     let zero_fault_divergences = outcomes
         .iter()
         .filter(|o| cfg.zero_fault && o.class == Classification::Sdc)

@@ -12,7 +12,8 @@
 //! are written to `--corpus DIR`; any divergence is shrunk to a small
 //! repro and written alongside as `div_*.s`.
 //!
-//! With `--cases N` a campaign is exactly reproducible from its seed.
+//! With `--cases N` a campaign is exactly reproducible from its seed,
+//! for any `--jobs`; `--seconds N` runs a prefix of the same schedule.
 //! With `--replay FILE` no fuzzing happens: the artifact is re-run and
 //! its recorded expectations checked — the exit code says whether the
 //! divergence it witnesses still exists.

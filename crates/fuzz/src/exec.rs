@@ -102,10 +102,6 @@ fn tag_bit(insn: &Insn) -> u32 {
 }
 
 impl Hooks for FuzzHooks {
-    fn fetch(&mut self, state: &mut MachineState, pc: u32) -> Option<Result<(u32, u32), Trap>> {
-        self.metal.fetch(state, pc)
-    }
-
     fn fetch_decoded(
         &mut self,
         state: &mut MachineState,

@@ -16,16 +16,19 @@
 //!
 //! # Determinism
 //!
-//! Every case is identified by a seed derived from
-//! `(campaign seed, shard, index)` with a SplitMix64-style mixer, so:
+//! Case `i` of a campaign is generated from the seed
+//! [`case_seed`]`(seed, 0, i)` (a SplitMix64-style mixer), and the
+//! campaign runner ([`metal_util::campaign`]) merges case results in
+//! index order on one thread, whatever `--jobs` is. Coverage novelty,
+//! corpus writes and shrinking are all decided in that merge, so:
 //!
-//! * with `--cases N`, a campaign is **exactly** reproducible: same
-//!   seed ⇒ same cases, same corpus file names and contents, same
-//!   coverage count;
-//! * with `--seconds T`, the case *schedule* per shard is a fixed
-//!   sequence and the wall clock only decides the cut-off, so any
-//!   artifact the run produces is reproducible from its file name
-//!   alone (it encodes the case seed).
+//! * with `--cases N`, a campaign is **exactly** reproducible and
+//!   independent of `--jobs`: same seed ⇒ same cases, same corpus file
+//!   names and contents, same coverage count;
+//! * with `--seconds T`, the wall clock only decides how long a prefix
+//!   `0..n` of that one schedule runs, so the run equals
+//!   `--cases n` with the same seed, and every artifact is reproducible
+//!   from its file name alone (it encodes the case index and seed).
 
 pub mod artifact;
 pub mod coverage;
@@ -38,8 +41,8 @@ pub use coverage::CoverageMap;
 pub use exec::{BugKind, CaseResult, CaseRunner};
 pub use grammar::FuzzCase;
 
+use metal_util::campaign;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Campaign parameters (the `mfuzz` command line).
@@ -47,11 +50,11 @@ use std::time::{Duration, Instant};
 pub struct CampaignConfig {
     /// Campaign seed; every case seed derives from it.
     pub seed: u64,
-    /// Worker shards.
+    /// Worker threads (results are identical for any value).
     pub jobs: usize,
     /// Wall-clock budget.
     pub seconds: Option<u64>,
-    /// Exact case budget (split across shards; fully deterministic).
+    /// Exact case budget (fully deterministic).
     pub cases: Option<u64>,
     /// Where to write corpus and divergence artifacts.
     pub corpus_dir: Option<PathBuf>,
@@ -97,7 +100,7 @@ pub struct Divergence {
 /// What a campaign did.
 #[derive(Debug, Default)]
 pub struct CampaignReport {
-    /// Cases executed (across all shards).
+    /// Cases executed.
     pub cases: u64,
     /// Cases that hit a run budget without halting.
     pub hangs: u64,
@@ -105,15 +108,16 @@ pub struct CampaignReport {
     pub rejects: u64,
     /// Bits set in the merged coverage map.
     pub coverage: usize,
-    /// Corpus artifacts written this campaign.
+    /// Corpus artifacts written this campaign, in case order.
     pub corpus: Vec<PathBuf>,
-    /// Divergences found (shrunk when configured).
+    /// Divergences found (shrunk when configured), in case order.
     pub divergences: Vec<Divergence>,
 }
 
 /// SplitMix64-style mix of (campaign seed, shard, index) into a case
-/// seed. Stable across releases: artifact reproducibility depends on
-/// it.
+/// seed. Campaigns use shard 0 only: case `i` of campaign `s` is
+/// `case_seed(s, 0, i)`. Stable across releases: artifact
+/// reproducibility depends on it.
 #[must_use]
 pub fn case_seed(campaign: u64, shard: u64, index: u64) -> u64 {
     let mut z = campaign
@@ -124,150 +128,108 @@ pub fn case_seed(campaign: u64, shard: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Divergences shrunk per shard before the rest are reported unshrunk.
+/// Findings shrunk (the first ones, in case order) before the rest are
+/// reported unshrunk.
 const SHRINK_CAP: usize = 3;
 /// Predicate evaluations allowed per shrink.
 const SHRINK_BUDGET: usize = 2_000;
 
-struct ShardOutcome {
-    cases: u64,
-    hangs: u64,
-    rejects: u64,
-    coverage: CoverageMap,
-    corpus: Vec<PathBuf>,
-    divergences: Vec<Divergence>,
+/// The two kinds of finding a campaign reports.
+#[derive(Clone, Copy, Debug)]
+enum FindingKind {
+    /// The engines disagree.
+    Divergence,
+    /// The lint verdict contradicts the simulators (`--lint`).
+    Lint,
 }
 
-fn run_shard(
-    config: &CampaignConfig,
-    shard: usize,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-    stop: &AtomicBool,
-) -> ShardOutcome {
-    let mut runner = CaseRunner::new(config.bug);
-    let mut out = ShardOutcome {
-        cases: 0,
-        hangs: 0,
-        rejects: 0,
-        coverage: CoverageMap::new(),
-        corpus: Vec::new(),
-        divergences: Vec::new(),
-    };
-    let mut index = 0u64;
-    loop {
-        if let Some(n) = budget {
-            if index >= n {
-                break;
-            }
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                break;
-            }
-        }
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let seed = case_seed(config.seed, shard as u64, index);
-        index += 1;
-        let case = grammar::generate(seed);
-        let result = match runner.run(&case) {
-            Ok(r) => r,
-            Err(_) => {
-                out.rejects += 1;
-                continue;
-            }
-        };
-        out.cases += 1;
-        if result.hang {
-            out.hangs += 1;
-            continue;
-        }
-        if let Some(what) = result.divergence.clone() {
-            let div = minimize(&mut runner, &case, &what, config, shard, &mut out);
-            out.divergences.push(div);
-            continue;
-        }
-        if config.lint {
-            let finding = lint::check_case(&case, &result.core.events, &result.interp.events)
-                .ok()
-                .flatten();
-            if let Some(what) = finding {
-                let div = minimize_with(
-                    &mut runner,
-                    &case,
-                    &what,
-                    config,
-                    shard,
-                    &mut out,
-                    "lint",
-                    &|case, r| {
-                        lint::check_case(case, &r.core.events, &r.interp.events)
-                            .ok()
-                            .flatten()
-                    },
-                );
-                out.divergences.push(div);
-                continue;
-            }
-        }
-        let novel = out.coverage.observe_run(
-            &result.core.events,
-            result.core.tags,
-            exec::halt_kind(&result.core.halt),
-        );
-        if novel {
-            if let Some(dir) = &config.corpus_dir {
-                let name = format!("c{shard:02}_{:06}_{seed:016x}.s", index - 1);
-                let path = dir.join(name);
-                let text = artifact::serialize(&case, &result.interp);
-                if std::fs::write(&path, text).is_ok() {
-                    out.corpus.push(path);
-                }
-            }
+impl FindingKind {
+    /// Artifact file-name prefix.
+    fn tag(self) -> &'static str {
+        match self {
+            FindingKind::Divergence => "div",
+            FindingKind::Lint => "lint",
         }
     }
-    out
+
+    /// `Some(description)` while the finding shows in a run of `case`.
+    fn check(self, case: &FuzzCase, run: &CaseResult) -> Option<String> {
+        match self {
+            FindingKind::Divergence => run.divergence.clone(),
+            FindingKind::Lint => lint::check_case(case, &run.core.events, &run.interp.events)
+                .ok()
+                .flatten(),
+        }
+    }
 }
 
-/// Shrinks one engine divergence (up to the per-shard cap) and writes
-/// its artifact.
+/// What a worker learned from one case; the merge step turns it into
+/// campaign decisions in case order.
+enum Outcome {
+    /// The builder or assembler rejected the case (a generator bug).
+    Reject,
+    /// A run budget expired before the case halted.
+    Hang,
+    /// A finding, to shrink and report.
+    Finding {
+        case: FuzzCase,
+        what: String,
+        kind: FindingKind,
+    },
+    /// A clean run: the coverage it observed, and its artifact text
+    /// when a corpus is kept.
+    Clean {
+        coverage: CoverageMap,
+        artifact: Option<String>,
+    },
+}
+
+/// Runs case `seed` on a worker's runner.
+fn run_case(runner: &mut CaseRunner, config: &CampaignConfig, seed: u64) -> Outcome {
+    let case = grammar::generate(seed);
+    let Ok(result) = runner.run(&case) else {
+        return Outcome::Reject;
+    };
+    if result.hang {
+        return Outcome::Hang;
+    }
+    let lint = config.lint.then_some(FindingKind::Lint);
+    for kind in std::iter::once(FindingKind::Divergence).chain(lint) {
+        if let Some(what) = kind.check(&case, &result) {
+            return Outcome::Finding { case, what, kind };
+        }
+    }
+    let mut coverage = CoverageMap::new();
+    coverage.observe_run(
+        &result.core.events,
+        result.core.tags,
+        exec::halt_kind(&result.core.halt),
+    );
+    let artifact = config
+        .corpus_dir
+        .as_ref()
+        .map(|_| artifact::serialize(&case, &result.interp));
+    Outcome::Clean { coverage, artifact }
+}
+
+/// Shrinks one finding (when `shrink`) and writes its artifact as
+/// `{tag}_{seed}.s`. Shrinking keeps any candidate in which the finding
+/// still shows.
 fn minimize(
     runner: &mut CaseRunner,
     case: &FuzzCase,
-    what: &str,
+    what: String,
+    kind: FindingKind,
     config: &CampaignConfig,
-    shard: usize,
-    out: &mut ShardOutcome,
+    shrink: bool,
 ) -> Divergence {
-    minimize_with(runner, case, what, config, shard, out, "div", &|_, r| {
-        r.divergence.clone()
-    })
-}
-
-/// Shrinks one finding under an arbitrary oracle and writes its
-/// artifact as `{tag}_{shard}_{seed}.s`. The oracle maps a re-run case
-/// to `Some(description)` while the finding persists; shrinking keeps
-/// any candidate for which it still fires.
-#[allow(clippy::too_many_arguments)]
-fn minimize_with(
-    runner: &mut CaseRunner,
-    case: &FuzzCase,
-    what: &str,
-    config: &CampaignConfig,
-    shard: usize,
-    out: &mut ShardOutcome,
-    tag: &str,
-    oracle: &dyn Fn(&FuzzCase, &exec::CaseResult) -> Option<String>,
-) -> Divergence {
-    let shrunk = if config.shrink && out.divergences.len() < SHRINK_CAP {
+    let shrunk = if shrink {
         shrink::shrink(
             case,
             |cand| {
                 runner
                     .run(cand)
-                    .map(|r| !r.hang && oracle(cand, &r).is_some())
+                    .map(|r| !r.hang && kind.check(cand, &r).is_some())
                     .unwrap_or(false)
             },
             SHRINK_BUDGET,
@@ -278,15 +240,12 @@ fn minimize_with(
     // Re-run the final case: the artifact records the *reference*
     // expectations, so replay keeps failing while the bug lives.
     let (what, reference) = match runner.run(&shrunk) {
-        Ok(r) => {
-            let what = oracle(&shrunk, &r).unwrap_or_else(|| what.to_owned());
-            (what, Some(r.interp))
-        }
-        Err(_) => (what.to_owned(), None),
+        Ok(r) => (kind.check(&shrunk, &r).unwrap_or(what), Some(r.interp)),
+        Err(_) => (what, None),
     };
     let artifact = match (&config.corpus_dir, &reference) {
         (Some(dir), Some(reference)) => {
-            let path = dir.join(format!("{tag}_{shard:02}_{:016x}.s", case.seed));
+            let path = dir.join(format!("{}_{:016x}.s", kind.tag(), case.seed));
             let text = artifact::serialize(&shrunk, reference);
             std::fs::write(&path, text).ok().map(|()| path)
         }
@@ -301,53 +260,63 @@ fn minimize_with(
     }
 }
 
-/// Runs a fuzzing campaign across `config.jobs` worker threads.
+/// Runs a fuzzing campaign on `config.jobs` worker threads.
 ///
-/// With a `cases` budget the split is exact (`n / jobs` each, the
-/// remainder spread over the first shards) so results are bit-for-bit
-/// reproducible. With only a `seconds` budget, shards run their fixed
-/// per-shard schedule until the deadline.
+/// Case `i` is generated from `case_seed(seed, 0, i)`. Workers only run
+/// cases; coverage novelty, corpus writes and shrinking are decided on
+/// the calling thread in case order, so the report and the corpus are
+/// the same for any `jobs`.
 #[must_use]
 pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
-    let jobs = config.jobs.max(1);
     if let Some(dir) = &config.corpus_dir {
         let _ = std::fs::create_dir_all(dir);
     }
     let deadline = config
         .seconds
         .map(|s| Instant::now() + Duration::from_secs(s));
-    let budgets: Vec<Option<u64>> = (0..jobs)
-        .map(|shard| {
-            config.cases.map(|n| {
-                let base = n / jobs as u64;
-                let extra = u64::from((shard as u64) < n % jobs as u64);
-                base + extra
-            })
-        })
-        .collect();
-    let stop = AtomicBool::new(false);
-    let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|shard| {
-                let config = &*config;
-                let stop = &stop;
-                let budget = budgets[shard];
-                scope.spawn(move || run_shard(config, shard, budget, deadline, stop))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
     let mut report = CampaignReport::default();
-    let mut merged = CoverageMap::new();
-    for out in outcomes {
-        report.cases += out.cases;
-        report.hangs += out.hangs;
-        report.rejects += out.rejects;
-        merged.merge(&out.coverage);
-        report.corpus.extend(out.corpus);
-        report.divergences.extend(out.divergences);
-    }
-    report.coverage = merged.count();
+    let mut coverage = CoverageMap::new();
+    // Built at the first finding, so a clean campaign pays for no
+    // extra engines.
+    let mut shrinker: Option<CaseRunner> = None;
+    campaign::run(
+        config.jobs,
+        config.cases,
+        deadline,
+        || CaseRunner::new(config.bug),
+        |runner, index| run_case(runner, config, case_seed(config.seed, 0, index)),
+        |index, outcome| match outcome {
+            Outcome::Reject => report.rejects += 1,
+            Outcome::Hang => {
+                report.cases += 1;
+                report.hangs += 1;
+            }
+            Outcome::Finding { case, what, kind } => {
+                report.cases += 1;
+                let runner = shrinker.get_or_insert_with(|| CaseRunner::new(config.bug));
+                let shrink = config.shrink && report.divergences.len() < SHRINK_CAP;
+                let div = minimize(runner, &case, what, kind, config, shrink);
+                report.divergences.push(div);
+            }
+            Outcome::Clean {
+                coverage: case_coverage,
+                artifact,
+            } => {
+                report.cases += 1;
+                if !coverage.merge(&case_coverage) {
+                    return;
+                }
+                if let (Some(dir), Some(text)) = (&config.corpus_dir, artifact) {
+                    let seed = case_seed(config.seed, 0, index);
+                    let path = dir.join(format!("c{index:06}_{seed:016x}.s"));
+                    if std::fs::write(&path, text).is_ok() {
+                        report.corpus.push(path);
+                    }
+                }
+            }
+        },
+    );
+    report.coverage = coverage.count();
     report
 }
 
@@ -375,17 +344,46 @@ mod tests {
     fn small_campaign_is_deterministic() {
         let config = CampaignConfig {
             seed: 9,
-            jobs: 2,
+            jobs: 1,
             cases: Some(40),
             ..CampaignConfig::default()
         };
         let a = run_campaign(&config);
-        let b = run_campaign(&config);
+        let b = run_campaign(&CampaignConfig { jobs: 4, ..config });
         assert_eq!(a.cases, b.cases);
         assert_eq!(a.coverage, b.coverage);
+        assert_eq!((a.hangs, a.rejects), (b.hangs, b.rejects));
         assert_eq!(a.divergences.len(), b.divergences.len());
         assert!(a.cases + a.rejects == 40);
         assert_eq!(a.divergences.len(), 0, "clean engines must not diverge");
+    }
+
+    /// Findings are reported in case order, whatever `jobs` is.
+    #[test]
+    fn findings_do_not_depend_on_jobs() {
+        let config = CampaignConfig {
+            seed: 7,
+            jobs: 1,
+            cases: Some(60),
+            bug: BugKind::MulLowBit,
+            shrink: false,
+            ..CampaignConfig::default()
+        };
+        let found = |report: &CampaignReport| {
+            report
+                .divergences
+                .iter()
+                .map(|d| (d.seed, d.what.clone(), d.insns))
+                .collect::<Vec<_>>()
+        };
+        let a = run_campaign(&config);
+        let b = run_campaign(&CampaignConfig { jobs: 3, ..config });
+        assert!(
+            !a.divergences.is_empty(),
+            "the injected bug shows in 60 cases"
+        );
+        assert_eq!(found(&a), found(&b));
+        assert_eq!(a.coverage, b.coverage);
     }
 
     /// With `--lint` on and unmodified engines, a campaign reports no

@@ -14,12 +14,13 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn same_seed_same_campaign() {
-    // Acceptance: `mfuzz --cases N --jobs 4 --seed 1` is deterministic —
-    // same corpus (names and contents) and same coverage count.
-    let run = |dir: &std::path::Path| {
+    // Acceptance: `mfuzz --cases N --seed 1` is deterministic and does
+    // not depend on `--jobs` — same corpus (names and contents), same
+    // coverage count, same divergences.
+    let run = |jobs: usize, dir: &std::path::Path| {
         run_campaign(&CampaignConfig {
             seed: 1,
-            jobs: 4,
+            jobs,
             cases: Some(160),
             corpus_dir: Some(dir.to_path_buf()),
             ..CampaignConfig::default()
@@ -27,13 +28,14 @@ fn same_seed_same_campaign() {
     };
     let dir_a = temp_dir("det-a");
     let dir_b = temp_dir("det-b");
-    let a = run(&dir_a);
-    let b = run(&dir_b);
+    let a = run(1, &dir_a);
+    let b = run(4, &dir_b);
     assert_eq!(a.cases, b.cases);
     assert_eq!(a.coverage, b.coverage);
     assert!(a.coverage > 0, "campaign observed no coverage");
     assert!(!a.corpus.is_empty(), "campaign kept no seeds");
     assert_eq!(a.divergences.len(), 0, "clean engines diverged");
+    assert_eq!(b.divergences.len(), 0, "clean engines diverged");
     let names = |dir: &std::path::Path| {
         let mut v: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
@@ -43,12 +45,46 @@ fn same_seed_same_campaign() {
         v
     };
     let (na, nb) = (names(&dir_a), names(&dir_b));
-    assert_eq!(na, nb, "corpus file sets differ");
+    assert_eq!(na, nb, "corpus file sets differ between --jobs 1 and 4");
+    assert_eq!(na.len(), a.corpus.len());
     for name in &na {
-        let ca = std::fs::read_to_string(dir_a.join(name)).unwrap();
-        let cb = std::fs::read_to_string(dir_b.join(name)).unwrap();
-        assert_eq!(ca, cb, "artifact {name} differs between runs");
+        let ca = std::fs::read(dir_a.join(name)).unwrap();
+        let cb = std::fs::read(dir_b.join(name)).unwrap();
+        assert_eq!(ca, cb, "artifact {name} differs between --jobs 1 and 4");
     }
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+#[test]
+fn seconds_campaign_runs_a_prefix_of_the_schedule() {
+    // A wall-clock campaign runs cases `0..n` of the one schedule, so
+    // it equals the `--cases n` campaign with the same seed.
+    let dir_a = temp_dir("prefix-a");
+    let dir_b = temp_dir("prefix-b");
+    let timed = run_campaign(&CampaignConfig {
+        seed: 3,
+        jobs: 2,
+        seconds: Some(1),
+        corpus_dir: Some(dir_a.clone()),
+        ..CampaignConfig::default()
+    });
+    let n = timed.cases + timed.rejects;
+    assert!(n > 0, "no case ran in one second");
+    let counted = run_campaign(&CampaignConfig {
+        seed: 3,
+        cases: Some(n),
+        corpus_dir: Some(dir_b.clone()),
+        ..CampaignConfig::default()
+    });
+    assert_eq!(timed.coverage, counted.coverage);
+    let names = |paths: &[std::path::PathBuf]| {
+        paths
+            .iter()
+            .map(|p| p.file_name().unwrap().to_owned())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(names(&timed.corpus), names(&counted.corpus));
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }

@@ -11,7 +11,7 @@
 
 use crate::state::MachineState;
 use crate::trap::{Trap, TrapCause};
-use metal_isa::{decode_to, DecodedInsn, Insn};
+use metal_isa::{DecodedInsn, Insn};
 
 /// What the decode-stage hook decided about an instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,29 +84,19 @@ pub struct CustomExec {
 /// Extension hooks. The baseline core uses [`NoHooks`]; `metal-core`
 /// provides the Metal implementation.
 pub trait Hooks {
-    /// Overrides instruction fetch at `pc`. Returning `Some((word,
-    /// latency))` bypasses translation, the I-cache, and the bus — this
-    /// is how MRAM-resident mroutines are fetched. `Err` faults the
-    /// fetch.
-    fn fetch(&mut self, state: &mut MachineState, pc: u32) -> Option<Result<(u32, u32), Trap>> {
-        let _ = (state, pc);
-        None
-    }
-
-    /// Pre-decoded variant of [`Hooks::fetch`] — the entry point both
-    /// engines actually use. The default wraps `fetch` and decodes the
-    /// word; extensions that hold pre-decoded code (MRAM) override this
-    /// to skip the per-fetch decode entirely. Implementations must stay
-    /// consistent with `fetch`: same `Some`/`None`/`Err` decisions, and
-    /// a returned `DecodedInsn` whose `word` is what `fetch` would
-    /// return.
+    /// Overrides instruction fetch at `pc`, the one fetch hook both
+    /// engines call. Returning `Some((insn, latency))` bypasses
+    /// translation, the I-cache, and the bus — this is how
+    /// MRAM-resident mroutines are fetched, already decoded. `Err`
+    /// faults the fetch; `None` (the default) takes the baseline path,
+    /// [`MachineState::fetch_decoded`].
     fn fetch_decoded(
         &mut self,
         state: &mut MachineState,
         pc: u32,
     ) -> Option<Result<(DecodedInsn, u32), Trap>> {
-        self.fetch(state, pc)
-            .map(|r| r.map(|(word, latency)| (decode_to(word), latency)))
+        let _ = (state, pc);
+        None
     }
 
     /// True if [`Hooks::decode`] would do more than `Pass` for this
@@ -181,7 +171,7 @@ mod tests {
     fn nohooks_defaults() {
         let mut h = NoHooks;
         let mut m = MachineState::new(&CoreConfig::default());
-        assert!(h.fetch(&mut m, 0).is_none());
+        assert!(h.fetch_decoded(&mut m, 0).is_none());
         assert!(h.interrupts_allowed(&m));
         let insn = Insn::Mexit;
         assert_eq!(h.decode(&mut m, 0, 0, &insn), DecodeOutcome::Pass);

@@ -41,23 +41,14 @@ impl<H> TracingHooks<H> {
 
 impl<H: Hooks> Hooks for TracingHooks<H> {
     #[inline]
-    fn fetch(&mut self, state: &mut MachineState, pc: u32) -> Option<Result<(u32, u32), Trap>> {
-        let result = self.inner.fetch(state, pc);
-        if matches!(result, Some(Ok(_))) {
-            // An extension-provided fetch is an MRAM fetch under Metal.
-            state.trace.emit(EventKind::MramFetch { pc });
-        }
-        result
-    }
-
-    #[inline]
     fn fetch_decoded(
         &mut self,
         state: &mut MachineState,
         pc: u32,
     ) -> Option<Result<(DecodedInsn, u32), Trap>> {
         // Forward to the inner hook's own override (MRAM pre-decode),
-        // emitting the event here so it appears exactly once per fetch.
+        // emitting the event here so it appears exactly once per fetch:
+        // an extension-provided fetch is an MRAM fetch under Metal.
         let result = self.inner.fetch_decoded(state, pc);
         if matches!(result, Some(Ok(_))) {
             state.trace.emit(EventKind::MramFetch { pc });
@@ -133,7 +124,7 @@ mod tests {
         let mut hooks = TracingHooks::new(NoHooks);
         let mut state = MachineState::new(&CoreConfig::default());
         state.set_trace(TraceHandle::enabled(TraceConfig::default()));
-        assert!(hooks.fetch(&mut state, 0).is_none());
+        assert!(hooks.fetch_decoded(&mut state, 0).is_none());
         assert!(hooks.interrupts_allowed(&state));
         let insn = Insn::Mexit;
         assert_eq!(hooks.decode(&mut state, 0, 0, &insn), DecodeOutcome::Pass);

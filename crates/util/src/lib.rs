@@ -10,7 +10,10 @@
 //!   snapshots and Chrome trace-event files.
 //! * [`cli`] — the argument-parsing helpers shared by the `msim`,
 //!   `masm`, and `mdis` binaries.
+//! * [`campaign`] — the index-ordered case runner behind `mfuzz` and
+//!   `mfault`.
 
+pub mod campaign;
 pub mod cli;
 pub mod json;
 pub mod rng;

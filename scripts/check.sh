@@ -32,6 +32,16 @@ if [[ "${CHECK_FUZZ:-0}" == "1" ]]; then
     echo "==> fuzz smoke (CHECK_FUZZ=1)"
     # A short real campaign: any divergence fails the gate.
     target/release/mfuzz --seconds 10 --jobs 2 --seed 1
+    # A campaign must not depend on --jobs: the same summary and the
+    # same corpus, file for file, at one and at three workers.
+    jobs_dir=$(mktemp -d)
+    trap 'rm -rf "$jobs_dir"' EXIT
+    for jobs in 1 3; do
+        target/release/mfuzz --cases 200 --seed 1 --jobs "$jobs" \
+            --corpus "$jobs_dir/j$jobs" > "$jobs_dir/j$jobs.txt"
+    done
+    diff "$jobs_dir/j1.txt" "$jobs_dir/j3.txt"
+    diff -r "$jobs_dir/j1" "$jobs_dir/j3"
     # The committed corpus must keep replaying bit-identically, and
     # every artifact must stay free of lint-soundness disagreements.
     for f in tests/corpus/*.s; do
