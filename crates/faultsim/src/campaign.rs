@@ -32,7 +32,10 @@
 //! The digest covers guest registers, the halt reason, RAM, and MRAM
 //! data — the architecturally-visible outcome. Metal scratch
 //! registers, cycle and instruction counts are excluded: a recovered
-//! run legitimately executes extra (recovery) instructions.
+//! run legitimately executes extra (recovery) instructions. RAM enters
+//! as its non-zero pages with their indices
+//! ([`metal_mem::PhysMemory::nonzero_pages`]), so equal RAM contents
+//! give equal digests at a cost that follows the pages the case wrote.
 
 use crate::fault::{FaultKind, FaultSpec, FaultTarget, CACHE_DSIDE};
 use crate::workload;
@@ -431,7 +434,8 @@ fn run_typed<E: FaultTarget>(cfg: &CampaignConfig) -> Report {
     }
 }
 
-/// Digest of the architecturally-visible machine state (FNV-1a).
+/// Digest of the architecturally-visible machine state (FNV-1a over
+/// registers, halt reason, non-zero RAM pages and MRAM data).
 fn digest<E: Engine<Hooks = Metal>>(engine: &E, full: bool) -> u64 {
     const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -457,8 +461,10 @@ fn digest<E: Engine<Hooks = Metal>>(engine: &E, full: bool) -> u64 {
         }
         Some(HaltReason::Timeout) => eat(&[3]),
     }
-    let ram = &state.bus.ram;
-    eat(ram.dump(0, ram.size() as u32).expect("full-RAM dump"));
+    for (page, bytes) in state.bus.ram.nonzero_pages() {
+        eat(&page.to_le_bytes());
+        eat(bytes);
+    }
     eat(engine.hooks().mram.data());
     if full {
         for n in 0..32 {

@@ -3,9 +3,10 @@
 //! A [`CaseRunner`] owns a pipelined core (decode cache on), a second
 //! pipelined core (decode cache off), and the reference interpreter,
 //! each constructed **once**. Between cases the machines are rewound
-//! with [`metal_pipeline::Engine::restore`] — a RAM memcpy plus field
-//! copies, microseconds instead of a rebuild — and only the per-case
-//! Metal extension (mroutines, delegations) is constructed fresh.
+//! with [`metal_pipeline::Engine::restore`] — a copy of the RAM pages
+//! the last case touched plus field copies, microseconds instead of a
+//! rebuild — and only the per-case Metal extension (mroutines,
+//! delegations) is constructed fresh.
 //!
 //! The differential oracle is two-sided:
 //!

@@ -1,5 +1,6 @@
 //! The physical address space: RAM plus memory-mapped devices.
 
+use crate::phys::RamImage;
 use crate::{MemError, PhysMemory};
 use metal_trace::{EventKind, TraceHandle};
 
@@ -120,30 +121,34 @@ impl Bus {
         self.code_generation = generation;
     }
 
-    /// Captures everything [`Bus::restore`] needs to rewind the bus:
-    /// RAM contents plus the code-residency bitmap and its generation.
-    /// Device windows are *not* captured — snapshot/restore serves
-    /// device-less differential runs (the fuzzer resets a machine
-    /// thousands of times per second); restoring a bus with devices
-    /// attached leaves the devices untouched.
+    /// Captures everything [`Bus::restore`] needs to rewind the bus: the
+    /// RAM pages written so far, with the page bitmap of [`PhysMemory`],
+    /// plus the code-residency bitmap and its generation. Its cost
+    /// follows the pages a program touched, not the size of RAM. Device
+    /// windows are *not* captured — snapshot/restore serves device-less
+    /// differential runs (the fuzzer resets a machine thousands of times
+    /// per second); restoring a bus with devices attached leaves the
+    /// devices untouched.
     #[must_use]
     pub fn snapshot(&self) -> BusSnapshot {
         BusSnapshot {
-            ram: self.ram.clone(),
+            ram: self.ram.snapshot(),
             code_lines: self.code_lines.clone(),
             code_generation: self.code_generation,
         }
     }
 
     /// Restores RAM and code-mark state from a snapshot without
-    /// reallocating (a pair of memcpys).
+    /// reallocating. Only RAM pages written since the snapshot or held
+    /// in it are rewritten: the snapshot's pages are copied back, the
+    /// others zero-filled.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot was taken from a bus with a different RAM
     /// size.
     pub fn restore(&mut self, snap: &BusSnapshot) {
-        self.ram.copy_from(&snap.ram);
+        self.ram.restore(&snap.ram);
         self.code_lines.copy_from_slice(&snap.code_lines);
         self.code_generation = snap.code_generation;
     }
@@ -297,11 +302,11 @@ impl Bus {
     }
 }
 
-/// A point-in-time copy of the bus's RAM and code-mark state (see
-/// [`Bus::snapshot`]).
+/// A point-in-time copy of the bus's written RAM pages and code-mark
+/// state (see [`Bus::snapshot`]).
 #[derive(Clone, Debug)]
 pub struct BusSnapshot {
-    ram: PhysMemory,
+    ram: RamImage,
     code_lines: Vec<u64>,
     code_generation: u64,
 }

@@ -2,7 +2,9 @@
 //!
 //! This crate provides everything below the pipeline:
 //!
-//! * [`phys::PhysMemory`] — flat physical RAM.
+//! * [`phys::PhysMemory`] — flat physical RAM with a bitmap of the pages
+//!   written, so snapshots, restores and digests cost what a program
+//!   touched.
 //! * [`bus::Bus`] — the physical address space: RAM plus memory-mapped
 //!   devices (console, timer, packet device).
 //! * [`tlb::Tlb`] — a software-managed TLB with address-space IDs and

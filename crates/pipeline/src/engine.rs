@@ -21,7 +21,9 @@ use metal_trace::MetricsSnapshot;
 
 /// A point-in-time copy of an engine: the machine state, the extension
 /// hooks, and the program counter. Taken with [`Engine::snapshot`] and
-/// applied with [`Engine::restore`].
+/// applied with [`Engine::restore`]. RAM is held as the pages written
+/// before the snapshot (see [`metal_mem::Bus::snapshot`]), so both calls
+/// cost in proportion to what the program touched, not to the RAM size.
 ///
 /// Restoring redirects execution via [`Engine::set_pc`], which clears
 /// any in-flight pipeline latches — so for the pipelined core a
@@ -131,10 +133,11 @@ pub trait Engine: Sized {
         }
     }
 
-    /// Rewinds the engine to a snapshot: machine state is restored
-    /// in-place (no RAM reallocation), hooks are overwritten with the
-    /// captured copy, and execution is redirected to the captured PC
-    /// (clearing any in-flight work).
+    /// Rewinds the engine to a snapshot: machine state is restored in
+    /// place, rewriting only the RAM pages written since the snapshot or
+    /// held in it; hooks are overwritten with the captured copy, and
+    /// execution is redirected to the captured PC (clearing any
+    /// in-flight work).
     fn restore(&mut self, snap: &EngineSnapshot<Self::Hooks>)
     where
         Self::Hooks: Clone,

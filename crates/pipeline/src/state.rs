@@ -451,7 +451,8 @@ impl MachineState {
 
     /// Rewinds the machine to a previously captured snapshot without
     /// reallocating RAM or cache arrays — the hot reset path of the
-    /// fuzzer, which restores between every generated case.
+    /// fuzzer, which restores between every generated case. RAM costs
+    /// only the pages written since the snapshot or held in it.
     ///
     /// The machine keeps its *current* trace handle; subsystem handles
     /// (TLB, bus) are reattached to it so events keep flowing to whatever

@@ -63,4 +63,12 @@ if [[ "${CHECK_FAULT:-0}" == "1" ]]; then
     target/release/mfault --seed 7 --cases 25 --zero-fault --workload fuzz
 fi
 
+if [[ "${CHECK_PERF:-0}" == "1" ]]; then
+    echo "==> perfbench self-tests (CHECK_PERF=1)"
+    # The benchmark is its own package: its checks of the recorded
+    # expectations and of the per-layer split (e.g. the fault engine
+    # share) run nowhere else.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+fi
+
 echo "==> all checks passed"
