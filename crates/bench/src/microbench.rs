@@ -86,16 +86,12 @@ pub struct Pair {
     pub a: f64,
     /// Minimum ns/iter for the second body.
     pub b: f64,
-    /// Median over samples of `(b_i - a_i) / a_i` — the drift-robust
-    /// relative cost of `b` over `a` (adjacent interleaved batches
-    /// share whatever the host was doing at the time).
-    pub rel_diff: f64,
 }
 
 /// Times two bodies with interleaved batches (a, b, a, b, …) at a
-/// common iteration count, printing both. Use for overhead comparisons
+/// common iteration count, printing both. Use for A/B comparisons
 /// where host drift between two sequential [`bench_fn`] calls would
-/// swamp the effect; read the paired estimate from [`Pair::rel_diff`].
+/// favour one side.
 pub fn bench_pair(
     group: &str,
     name_a: &str,
@@ -107,11 +103,7 @@ pub fn bench_pair(
         a();
         b();
         println!("{group}/{name_a} vs {name_b}: fast mode, 1 iter each (unmeasured)");
-        return Pair {
-            a: 0.0,
-            b: 0.0,
-            rel_diff: 0.0,
-        };
+        return Pair { a: 0.0, b: 0.0 };
     }
     for _ in 0..3 {
         a();
@@ -119,21 +111,14 @@ pub fn bench_pair(
     }
     let iters = calibrate(&mut a).max(calibrate(&mut b));
     let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    let mut diffs = Vec::with_capacity(SAMPLES as usize);
     for _ in 0..SAMPLES {
-        let sa = sample(&mut a, iters);
-        let sb = sample(&mut b, iters);
-        best_a = best_a.min(sa);
-        best_b = best_b.min(sb);
-        diffs.push((sb - sa) / sa);
+        best_a = best_a.min(sample(&mut a, iters));
+        best_b = best_b.min(sample(&mut b, iters));
     }
-    diffs.sort_by(|x, y| x.total_cmp(y));
-    let rel_diff = diffs[diffs.len() / 2];
     println!("{group}/{name_a}: {iters} iters, {best_a:.1} ns/iter");
     println!("{group}/{name_b}: {iters} iters, {best_b:.1} ns/iter");
     Pair {
         a: best_a,
         b: best_b,
-        rel_diff,
     }
 }

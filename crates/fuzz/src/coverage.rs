@@ -10,9 +10,9 @@
 //! * trap causes taken (baseline and delegated, per cause code);
 //! * Metal transition points (`menter`/`mexit` per entry and cause) and
 //!   *transition edges* (consecutive transition pairs);
-//! * stall kinds, flushes, interrupt injections;
+//! * stall kinds, interrupt injections, hardware TLB refills;
 //! * cache and TLB hit/miss *edges* (previous outcome → current);
-//! * `march.*` sub-operations executed (from `CustomExec` words);
+//! * MRAM data reads/writes and decode-slot replacements;
 //! * dispatch tags retired and the halt shape.
 
 use metal_trace::{Event, EventKind};
@@ -132,12 +132,6 @@ impl CoverageMap {
                 }
                 EventKind::HwRefill { .. } => {
                     new |= self.observe(hash(&[9]));
-                }
-                EventKind::CustomExec { word, .. } => {
-                    // Classify by opcode + funct fields, not the full
-                    // word: which march op ran, not which registers.
-                    let class = u64::from(word & 0xFE00_707F);
-                    new |= self.observe(hash(&[10, class]));
                 }
                 EventKind::MramData { write, .. } => {
                     new |= self.observe(hash(&[11, u64::from(write)]));

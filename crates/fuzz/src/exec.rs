@@ -24,7 +24,7 @@ use metal_isa::DispatchTag;
 use metal_pipeline::hooks::{CustomExec, DecodeOutcome, TrapDisposition, TrapEvent};
 use metal_pipeline::state::{CoreConfig, MachineState, TranslationMode};
 use metal_pipeline::{Core, Engine, EngineSnapshot, HaltReason, Hooks, Interp, Trap};
-use metal_trace::{Event, EventKind, TraceConfig, TraceHandle};
+use metal_trace::{Event, TraceConfig, TraceHandle};
 
 /// Cycle budget per case on the pipelined cores.
 pub const CORE_LIMIT: u64 = 2_000_000;
@@ -72,8 +72,6 @@ pub struct FuzzHooks {
     pub tags: u32,
     /// First [`RETIRE_CAP`] retired PCs.
     pub retired: Vec<u32>,
-    /// Total retirements (beyond the recorded prefix).
-    pub retired_total: u64,
 }
 
 impl FuzzHooks {
@@ -85,7 +83,6 @@ impl FuzzHooks {
             bug,
             tags: 0,
             retired: Vec::new(),
-            retired_total: 0,
         }
     }
 }
@@ -151,7 +148,6 @@ impl Hooks for FuzzHooks {
         if self.retired.len() < RETIRE_CAP {
             self.retired.push(pc);
         }
-        self.retired_total += 1;
         if self.bug == BugKind::MulLowBit {
             if let Insn::MulDiv {
                 op: MulOp::Mul, rd, ..
@@ -182,10 +178,8 @@ pub struct EngineRun {
     pub cycles: u64,
     /// Retired instructions.
     pub instret: u64,
-    /// Retirement order (first [`RETIRE_CAP`] PCs) and total count.
+    /// Retirement order (first [`RETIRE_CAP`] PCs).
     pub retired: Vec<u32>,
-    /// Total retirements.
-    pub retired_total: u64,
     /// The run's trace events (coverage input).
     pub events: Vec<Event>,
     /// Dispatch tags retired, as a bitmask.
@@ -306,10 +300,7 @@ impl CaseRunner {
         *engine.hooks_mut() = FuzzHooks::new(metal.clone(), bug);
         engine
             .state_mut()
-            .set_trace(TraceHandle::enabled(TraceConfig {
-                capacity: 1 << 15,
-                ..TraceConfig::default()
-            }));
+            .set_trace(TraceHandle::enabled(TraceConfig { capacity: 1 << 15 }));
         if soft_tlb {
             engine.state_mut().translation = TranslationMode::SoftTlb;
         }
@@ -331,7 +322,6 @@ impl CaseRunner {
             cycles: state.perf.cycles,
             instret: state.perf.instret,
             retired: hooks.retired.clone(),
-            retired_total: hooks.retired_total,
             events: state.trace.events(),
             tags: hooks.tags,
         }
@@ -434,7 +424,7 @@ fn diff_runs(core: &EngineRun, nodc: &EngineRun, interp: &EngineRun) -> Option<S
             core.instret, interp.instret
         ));
     }
-    if core.retired_total != interp.retired_total || core.retired != interp.retired {
+    if core.retired != interp.retired {
         let first = core
             .retired
             .iter()
@@ -466,20 +456,6 @@ fn diff_cores(core: &EngineRun, nodc: &EngineRun) -> Option<String> {
         return Some("decode cache perturbed architectural state".to_owned());
     }
     None
-}
-
-/// The retirement-order events of a run, for tests that want to inspect
-/// the sequence the trace saw (pipeline only; the interpreter reports
-/// through [`EngineRun::retired`]).
-#[must_use]
-pub fn retire_pcs(events: &[Event]) -> Vec<u32> {
-    events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Retire { pc } => Some(pc),
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]

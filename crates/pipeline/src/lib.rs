@@ -25,7 +25,6 @@ pub mod func;
 pub mod hooks;
 pub mod pipeline;
 pub mod state;
-pub mod tracing;
 pub mod trap;
 
 pub use engine::{Engine, EngineSnapshot};
@@ -36,5 +35,4 @@ pub use state::{
     CoreConfig, CsrFile, DecodeCache, HaltReason, MachineSnapshot, MachineState, PerfCounters,
     RegFile, TranslationMode,
 };
-pub use tracing::TracingHooks;
 pub use trap::{Trap, TrapCause, MACHINE_CHECK_BASE};

@@ -7,9 +7,12 @@
 //! Track layout (all under pid 0):
 //! - tid 0 "transitions": `menter`/`mexit` as begin/end duration pairs,
 //!   so nested mroutines render as a flame graph.
-//! - tid 1 "pipeline": stalls, flushes, traps, interrupts as instants
-//!   (stall length rides in `args.cycles`).
-//! - tid 2 "memory": fine-grained cache/TLB/MRAM/MMIO instants.
+//! - tid 1 "pipeline": stalls as durations (length also in
+//!   `args.cycles`); retirements, decode replacements, flushes, traps,
+//!   interrupts, fault/machine-check/recovery events and markers as
+//!   instants.
+//! - tid 2 "memory": cache, TLB, hardware-refill, MRAM-data and MMIO
+//!   instants.
 //!
 //! Events are written in stream order, which is cycle order, so the
 //! `ts` sequence is monotonically non-decreasing — a property the test
@@ -156,24 +159,6 @@ pub fn export(events: &[Event], dropped: u64) -> String {
                     event,
                     TID_PIPELINE,
                     &[("pc", Arg::Hex(pc)), ("target", Arg::Hex(target))],
-                );
-            }
-            EventKind::CustomExec { pc, word } => {
-                write_instant(
-                    &mut out,
-                    &mut wrote_any,
-                    event,
-                    TID_PIPELINE,
-                    &[("pc", Arg::Hex(pc)), ("word", Arg::Hex(word))],
-                );
-            }
-            EventKind::MramFetch { pc } => {
-                write_instant(
-                    &mut out,
-                    &mut wrote_any,
-                    event,
-                    TID_MEMORY,
-                    &[("pc", Arg::Hex(pc))],
                 );
             }
             EventKind::MramData { addr, write } => {

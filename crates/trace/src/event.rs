@@ -221,11 +221,6 @@ pub enum EventKind {
         /// Where execution resumes.
         target: u32,
     },
-    /// An MRAM code fetch.
-    MramFetch {
-        /// The fetched PC.
-        pc: u32,
-    },
     /// An MRAM data access (`mld`/`mst`).
     MramData {
         /// MRAM data-segment address.
@@ -261,20 +256,14 @@ pub enum EventKind {
         /// True for writes.
         write: bool,
     },
-    /// A decode-slot replacement observed by a generic hooks decorator
-    /// (the extension-agnostic view of `menter`/`mexit`/interception).
+    /// A decode-slot replacement, emitted by the pipelined core whenever a hook
+    /// replaces the decoded instruction (the extension-agnostic view of
+    /// `menter`/`mexit`/interception).
     DecodeReplace {
         /// PC of the replaced slot.
         pc: u32,
         /// PC attributed to the replacement.
         target: u32,
-    },
-    /// A custom (extension) instruction executed at EX.
-    CustomExec {
-        /// PC of the instruction.
-        pc: u32,
-        /// The instruction word.
-        word: u32,
     },
     /// A fault was injected into a hardware structure (campaign
     /// harness only — real workloads never emit this).
@@ -328,7 +317,6 @@ impl EventKind {
             EventKind::InterruptInjected { .. } => "interrupt",
             EventKind::MEnter { .. } => "menter",
             EventKind::MExit { .. } => "mexit",
-            EventKind::MramFetch { .. } => "mram.fetch",
             EventKind::MramData { .. } => "mram.data",
             EventKind::CacheAccess { which, .. } => match which {
                 CacheKind::ICache => "icache",
@@ -338,7 +326,6 @@ impl EventKind {
             EventKind::HwRefill { .. } => "tlb.hw_refill",
             EventKind::MmioAccess { .. } => "mmio",
             EventKind::DecodeReplace { .. } => "decode.replace",
-            EventKind::CustomExec { .. } => "exec.custom",
             EventKind::FaultInjected { .. } => "fault.injected",
             EventKind::MachineCheck { .. } => "mcheck.delivered",
             EventKind::Recovery { action } => match action {
@@ -348,22 +335,6 @@ impl EventKind {
             },
             EventKind::Marker { name, .. } => name,
         }
-    }
-
-    /// True for per-access events that dominate volume; the tracer skips
-    /// them at [`crate::Detail::Transitions`].
-    #[must_use]
-    pub fn is_fine_grained(&self) -> bool {
-        matches!(
-            self,
-            EventKind::Retire { .. }
-                | EventKind::CacheAccess { .. }
-                | EventKind::TlbLookup { .. }
-                | EventKind::MramFetch { .. }
-                | EventKind::MramData { .. }
-                | EventKind::MmioAccess { .. }
-                | EventKind::CustomExec { .. }
-        )
     }
 }
 

@@ -32,32 +32,16 @@ pub use ring::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// How much to record.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Detail {
-    /// Transitions, stalls, flushes, traps, interrupts — the events
-    /// whose volume is bounded by control flow.
-    Transitions,
-    /// Everything, including per-access cache/TLB/MRAM/retire events.
-    #[default]
-    Full,
-}
-
 /// Tracer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Ring capacity in events.
     pub capacity: usize,
-    /// Recording granularity.
-    pub detail: Detail,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
-        TraceConfig {
-            capacity: 1 << 20,
-            detail: Detail::Full,
-        }
+        TraceConfig { capacity: 1 << 20 }
     }
 }
 
@@ -65,9 +49,6 @@ impl Default for TraceConfig {
 #[cold]
 #[inline(never)]
 fn record(shared: &Shared, cycle: u64, kind: EventKind) {
-    if shared.detail == Detail::Transitions && kind.is_fine_grained() {
-        return;
-    }
     shared
         .ring
         .lock()
@@ -80,7 +61,6 @@ struct Shared {
     /// tick so emitters below the pipeline (bus, TLB) can timestamp
     /// events without threading the cycle through every call.
     now: AtomicU64,
-    detail: Detail,
     ring: Mutex<Ring>,
 }
 
@@ -117,17 +97,8 @@ impl TraceHandle {
     pub fn enabled(config: TraceConfig) -> TraceHandle {
         TraceHandle(Some(Arc::new(Shared {
             now: AtomicU64::new(0),
-            detail: config.detail,
             ring: Mutex::new(Ring::new(config.capacity)),
         })))
-    }
-
-    /// True when events are being recorded. Use to skip argument
-    /// computation that only feeds [`TraceHandle::emit`].
-    #[inline]
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Publishes the current cycle (called by the pipeline each tick).
@@ -157,15 +128,6 @@ impl TraceHandle {
     pub fn emit(&self, kind: EventKind) {
         if let Some(shared) = &self.0 {
             record(shared, shared.now.load(Ordering::Relaxed), kind);
-        }
-    }
-
-    /// Records `kind` at an explicit cycle (for emitters that know a
-    /// more precise timestamp than the published tick).
-    #[inline]
-    pub fn emit_at(&self, cycle: u64, kind: EventKind) {
-        if let Some(shared) = &self.0 {
-            record(shared, cycle, kind);
         }
     }
 
@@ -211,7 +173,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = TraceHandle::disabled();
-        assert!(!t.is_enabled());
+        assert_eq!(format!("{t:?}"), "TraceHandle(disabled)");
         t.set_now(99);
         t.emit(EventKind::Flush { target: 4 });
         assert_eq!(t.now(), 0);
@@ -232,32 +194,8 @@ mod tests {
     }
 
     #[test]
-    fn transitions_detail_drops_fine_grained() {
-        let t = TraceHandle::enabled(TraceConfig {
-            capacity: 16,
-            detail: Detail::Transitions,
-        });
-        t.emit(EventKind::Retire { pc: 0 });
-        t.emit(EventKind::TlbLookup {
-            va: 0,
-            outcome: TlbOutcome::Hit,
-        });
-        t.emit(EventKind::MEnter {
-            entry: 1,
-            cause: TransitionCause::Call,
-            pc: 0,
-        });
-        let events = t.events();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(events[0].kind, EventKind::MEnter { .. }));
-    }
-
-    #[test]
     fn ring_capacity_is_respected_via_handle() {
-        let t = TraceHandle::enabled(TraceConfig {
-            capacity: 4,
-            detail: Detail::Full,
-        });
+        let t = TraceHandle::enabled(TraceConfig { capacity: 4 });
         for i in 0..10 {
             t.set_now(i);
             t.emit(EventKind::Retire { pc: i as u32 });

@@ -71,4 +71,11 @@ if [[ "${CHECK_PERF:-0}" == "1" ]]; then
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
+if [[ -n "${CHECK_SAME_AS:-}" ]]; then
+    echo "==> same outputs as $CHECK_SAME_AS (CHECK_SAME_AS=<rev>)"
+    # reproduce, msim, mfuzz and mfault outputs must stay byte-identical
+    # to the named revision's (see the script for the command set).
+    scripts/same_outputs.sh "$CHECK_SAME_AS"
+fi
+
 echo "==> all checks passed"

@@ -31,10 +31,7 @@ struct RunRecord {
 fn run_and_record<E: Engine<Hooks = Metal>>(engine: &mut E, limit: u64) -> RunRecord {
     engine
         .state_mut()
-        .set_trace(TraceHandle::enabled(TraceConfig {
-            capacity: 1 << 16,
-            ..TraceConfig::default()
-        }));
+        .set_trace(TraceHandle::enabled(TraceConfig { capacity: 1 << 16 }));
     let halt = engine.run(limit);
     RunRecord {
         halt,
@@ -120,7 +117,8 @@ fn interp_mid_run_snapshot_resumes_identically() {
 #[test]
 fn restore_discards_later_writes() {
     // A snapshot taken before a run protects memory, CSRs, Metal
-    // registers, and MRAM data from everything the run did.
+    // registers, MRAM data and the mroutine table from everything done
+    // after it.
     let program = assemble_flat(
         "li a0, 21\nli t0, 0x1234\ncsrw mscratch, t0\nmenter 7\nsw a0, 64(zero)\nebreak",
     );
@@ -134,10 +132,23 @@ fn restore_discards_later_writes() {
         .expect("machine builds");
     core.load_segments([(0u32, program.as_slice())], 0);
     let snap = core.snapshot();
+    let next_pc = core.hooks().next_routine_pc();
+    let scratch_pc = core
+        .hooks_mut()
+        .install_routine(9, "scratch", &[0x0000_0013, 0x0010_0073])
+        .expect("install fits");
+    assert_eq!(scratch_pc, next_pc);
+    assert_ne!(core.hooks().next_routine_pc(), next_pc);
     let halt = core.run(CORE_LIMIT);
     assert_eq!(halt, Some(HaltReason::Ebreak { code: 42 }));
     assert_eq!(core.hooks().mregs.get(5), 42);
     core.restore(&snap);
+    assert_eq!(core.hooks().entry_pc(9), None, "install survived restore");
+    assert_eq!(
+        core.hooks().next_routine_pc(),
+        next_pc,
+        "MRAM allocation survived restore"
+    );
     assert_eq!(core.state().csr.mscratch, 0, "CSR write survived restore");
     assert_eq!(core.hooks().mregs.get(5), 0, "mreg write survived restore");
     assert_eq!(

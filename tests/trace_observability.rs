@@ -1,9 +1,9 @@
 //! The observability layer's two contracts, tested end to end:
 //!
-//! 1. **Zero perturbation** — running with full tracing enabled (and
-//!    the `TracingHooks` decorator installed) yields bit-identical
-//!    architectural state and identical cycle counts to the untraced
-//!    run. Observation must never change what is observed.
+//! 1. **Zero perturbation** — running a Metal core with tracing enabled
+//!    yields bit-identical architectural state and identical cycle
+//!    counts to the untraced run. Observation must never change what is
+//!    observed.
 //! 2. **Well-formed export** — the Chrome trace-event JSON parses, its
 //!    timestamps are monotonically non-decreasing, duration events are
 //!    balanced, and the transition events the Metal workload generates
@@ -12,12 +12,12 @@
 use metal_core::{Metal, MetalBuilder};
 use metal_isa::reg::Reg;
 use metal_pipeline::state::CoreConfig;
-use metal_pipeline::{Core, TracingHooks};
-use metal_trace::{Detail, TraceConfig, TraceHandle};
+use metal_pipeline::Core;
+use metal_trace::{TraceConfig, TraceHandle};
 use metal_util::{Json, Rng};
 
 /// A guest that exercises every event source: mroutine calls (MRAM
-/// fetch + data + transitions), arithmetic, loads/stores (D-cache),
+/// data + transitions), arithmetic, loads/stores (D-cache),
 /// and branches.
 fn guest(rng: &mut Rng) -> String {
     let steps = rng.range_usize(4, 24);
@@ -50,8 +50,8 @@ fn build_metal() -> Metal {
     metal
 }
 
-fn run(metal: Metal, image: &[u8], trace: Option<TraceHandle>) -> Core<TracingHooks<Metal>> {
-    let mut core = Core::new(CoreConfig::default(), TracingHooks::new(metal));
+fn run(metal: Metal, image: &[u8], trace: Option<TraceHandle>) -> Core<Metal> {
+    let mut core = Core::new(CoreConfig::default(), metal);
     if let Some(handle) = trace {
         core.state.set_trace(handle);
     }
@@ -60,8 +60,7 @@ fn run(metal: Metal, image: &[u8], trace: Option<TraceHandle>) -> Core<TracingHo
     core
 }
 
-/// Tracing (full detail, decorator installed) never perturbs the
-/// simulation: identical registers, memory, cycle counts, retirement
+/// Tracing never perturbs the simulation: identical registers, memory, cycle counts, retirement
 /// counts, and Metal-side state.
 #[test]
 fn tracing_is_zero_perturbation() {
@@ -92,17 +91,15 @@ fn tracing_is_zero_perturbation() {
             "case {case}: registers diverged\nguest:\n{src}"
         );
         assert_eq!(plain.state.halted, traced.state.halted, "case {case}");
-        let dump = |core: &Core<TracingHooks<Metal>>| {
-            core.state.bus.ram.dump(0x8000, 64 * 4).unwrap().to_vec()
-        };
+        let dump = |core: &Core<Metal>| core.state.bus.ram.dump(0x8000, 64 * 4).unwrap().to_vec();
         assert_eq!(dump(&plain), dump(&traced), "case {case}: memory diverged");
         assert_eq!(
-            plain.hooks.inner.mram.data(),
-            traced.hooks.inner.mram.data(),
+            plain.hooks.mram.data(),
+            traced.hooks.mram.data(),
             "case {case}: MRAM diverged"
         );
         assert_eq!(
-            plain.hooks.inner.stats, traced.hooks.inner.stats,
+            plain.hooks.stats, traced.hooks.stats,
             "case {case}: Metal stats diverged"
         );
         // The traced run actually recorded something.
@@ -123,18 +120,10 @@ fn chrome_export_is_well_formed() {
         let src = guest(&mut rng);
         let words = metal_asm::assemble_at(&src, 0).expect("guest assembles");
         let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let detail = if rng.chance() {
-            Detail::Full
-        } else {
-            Detail::Transitions
-        };
         let core = run(
             build_metal(),
             &image,
-            Some(TraceHandle::enabled(TraceConfig {
-                detail,
-                ..TraceConfig::default()
-            })),
+            Some(TraceHandle::enabled(TraceConfig::default())),
         );
 
         let text = core.state.trace.export_chrome();
@@ -197,7 +186,7 @@ fn metrics_snapshot_is_complete() {
     assert_eq!(core.state.regs.get(Reg::S1), 0);
 
     let mut snap = core.state.metrics_snapshot();
-    core.hooks.inner.publish_metrics(&mut snap);
+    core.hooks.publish_metrics(&mut snap);
 
     assert_eq!(snap.counter("cycles"), Some(core.state.perf.cycles));
     assert_eq!(snap.counter("instret"), Some(core.state.perf.instret));
