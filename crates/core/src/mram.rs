@@ -67,7 +67,6 @@ pub struct Mram {
     data: Vec<u8>,
     entries: Vec<Option<MroutineInfo>>,
     next_offset: u32,
-    generation: u64,
     /// Check-bit scheme protecting both segments ([`EccMode::None`]
     /// disables verification entirely — the zero-cost default).
     ecc: EccMode,
@@ -101,7 +100,6 @@ impl Mram {
             entries: vec![None; MAX_MROUTINES],
             next_offset: 0,
             config,
-            generation: 0,
             ecc: EccMode::None,
             code_check: vec![0; words],
             data_check: vec![0; (config.data_bytes / 4) as usize],
@@ -158,13 +156,11 @@ impl Mram {
         let word_base = (offset / 4) as usize;
         self.code[word_base..word_base + words.len()].copy_from_slice(words);
         self.golden_code[word_base..word_base + words.len()].copy_from_slice(words);
-        // Pre-decode at load time; bump the generation so any consumer
-        // holding stale decoded state can notice the (re)load.
+        // Pre-decode at load time.
         for (i, &word) in words.iter().enumerate() {
             self.decoded[word_base + i] = decode_to(word);
             self.code_check[word_base + i] = self.ecc.encode(word);
         }
-        self.generation += 1;
         self.next_offset += len;
         self.entries[usize::from(entry)] = Some(MroutineInfo {
             entry,
@@ -209,13 +205,6 @@ impl Mram {
             return Err(MetalError::CodeFetch { pc });
         }
         Ok(self.decoded[((pc - MRAM_BASE) / 4) as usize])
-    }
-
-    /// Bumped on every `install` (MRAM code (re)load): consumers caching
-    /// decoded MRAM state can use this to detect staleness.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Fetch latency for MRAM code.

@@ -139,7 +139,7 @@ pub fn rand_guest(rng: &mut Rng) -> String {
 /// overwritten mid-flight with a different `addi` immediate, so later
 /// passes execute the patched instruction. The store lands on a line
 /// that has already been fetched and decoded — exactly the case the
-/// decode cache's generation counter must catch.
+/// decode cache's store-time invalidation must catch.
 ///
 /// Oracle: pass 1 executes `addi a0, a0, imm1`; the remaining
 /// `passes-1` iterations execute the patched `addi a0, a0, imm2`. An

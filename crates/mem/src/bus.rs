@@ -7,10 +7,6 @@ use metal_trace::{EventKind, TraceHandle};
 /// Base of the MMIO window. Everything below is RAM-or-fault.
 pub const MMIO_BASE: u32 = 0xF000_0000;
 
-/// Granularity of the code-residency bitmap, in bytes. One bit tracks
-/// one line; a store anywhere in a marked line bumps the generation.
-pub const CODE_LINE_BYTES: u32 = 64;
-
 /// A memory-mapped device.
 ///
 /// Devices are word-addressed: the bus only forwards naturally aligned
@@ -25,6 +21,13 @@ pub trait Device: Send {
     /// Writes the word-sized register at byte `offset`.
     fn write(&mut self, offset: u32, value: u32) -> Result<(), MemError>;
     /// Advances device time to `cycle`.
+    ///
+    /// One call may advance many cycles: the pipeline does not tick
+    /// the bus in cycles where no stage can move. A call must leave the
+    /// device exactly as one call per intermediate cycle would have
+    /// (registers, [`Device::irq_pending`], anything it reports to the
+    /// host). The core samples the interrupt level only at the cycles
+    /// it ticks.
     fn tick(&mut self, cycle: u64);
     /// Level-triggered interrupt output.
     fn irq_pending(&self) -> bool;
@@ -44,104 +47,36 @@ pub struct Bus {
     windows: Vec<Window>,
     /// Event sink; disabled by default.
     pub trace: TraceHandle,
-    /// One bit per [`CODE_LINE_BYTES`] RAM line: set when a decode cache
-    /// holds an instruction fetched from that line. Empty overhead when
-    /// no consumer marks lines.
-    code_lines: Vec<u64>,
-    /// Bumped on every store that hits a marked line. Decode caches
-    /// compare against their own snapshot and flush on mismatch, which
-    /// makes cached pre-decoded instructions safe under self-modifying
-    /// code.
-    code_generation: u64,
 }
 
 impl Bus {
     /// Creates a bus with `ram_bytes` of RAM and no devices.
     #[must_use]
     pub fn new(ram_bytes: usize) -> Bus {
-        let lines = ram_bytes.div_ceil(CODE_LINE_BYTES as usize);
         Bus {
             ram: PhysMemory::new(ram_bytes),
             windows: Vec::new(),
             trace: TraceHandle::disabled(),
-            code_lines: vec![0; lines.div_ceil(64)],
-            code_generation: 0,
         }
     }
 
-    /// Marks the RAM line holding `addr` as code-resident: a later store
-    /// to that line will bump [`Bus::code_generation`]. Out-of-RAM
-    /// addresses are ignored.
-    #[inline]
-    pub fn mark_code(&mut self, addr: u32) {
-        let line = (addr / CODE_LINE_BYTES) as usize;
-        if let Some(word) = self.code_lines.get_mut(line / 64) {
-            *word |= 1 << (line % 64);
-        }
-    }
-
-    /// Clears every code-residency mark (the decode cache was flushed;
-    /// nothing cached remains to protect).
-    pub fn clear_code_marks(&mut self) {
-        self.code_lines.fill(0);
-    }
-
-    /// Generation counter for cached code: changes whenever a store may
-    /// have modified a code-resident line.
-    #[inline]
-    #[must_use]
-    pub fn code_generation(&self) -> u64 {
-        self.code_generation
-    }
-
-    /// Bumps the generation if the store at `[addr, addr + len)` touches
-    /// a marked line. The counter wraps: consumers compare for
-    /// *inequality* against their own snapshot, so wraparound is benign
-    /// (the astronomically unlikely exact-2^64-stores alias aside).
-    #[inline]
-    fn note_store(&mut self, addr: u32, len: u32) {
-        let first = (addr / CODE_LINE_BYTES) as usize;
-        let last = ((addr + (len - 1)) / CODE_LINE_BYTES) as usize;
-        for line in first..=last {
-            let marked = self
-                .code_lines
-                .get(line / 64)
-                .is_some_and(|w| w & (1 << (line % 64)) != 0);
-            if marked {
-                self.code_generation = self.code_generation.wrapping_add(1);
-                return;
-            }
-        }
-    }
-
-    /// Forces the code generation counter to an arbitrary value. A test
-    /// and fuzzing hook (e.g. to exercise wraparound behaviour); never
-    /// needed in normal operation.
-    pub fn force_code_generation(&mut self, generation: u64) {
-        self.code_generation = generation;
-    }
-
-    /// Captures everything [`Bus::restore`] needs to rewind the bus: the
-    /// RAM pages written so far, with the page bitmap of [`PhysMemory`],
-    /// plus the code-residency bitmap and its generation. Its cost
-    /// follows the pages a program touched, not the size of RAM. Device
-    /// windows are *not* captured — snapshot/restore serves device-less
-    /// differential runs (the fuzzer resets a machine thousands of times
-    /// per second); restoring a bus with devices attached leaves the
-    /// devices untouched.
+    /// Captures everything [`Bus::restore`] needs to rewind RAM: the
+    /// pages written so far, with the page bitmap of [`PhysMemory`]. Its
+    /// cost follows the pages a program touched, not the size of RAM.
+    /// Device windows are *not* captured — snapshot/restore serves
+    /// device-less differential runs (the fuzzer resets a machine
+    /// thousands of times per second); restoring a bus with devices
+    /// attached leaves the devices untouched.
     #[must_use]
     pub fn snapshot(&self) -> BusSnapshot {
         BusSnapshot {
             ram: self.ram.snapshot(),
-            code_lines: self.code_lines.clone(),
-            code_generation: self.code_generation,
         }
     }
 
-    /// Restores RAM and code-mark state from a snapshot without
-    /// reallocating. Only RAM pages written since the snapshot or held
-    /// in it are rewritten: the snapshot's pages are copied back, the
-    /// others zero-filled.
+    /// Restores RAM from a snapshot. Only RAM pages written since the
+    /// snapshot or held in it are visited: the snapshot's pages are
+    /// copied back, the others lose their storage.
     ///
     /// # Panics
     ///
@@ -149,8 +84,6 @@ impl Bus {
     /// size.
     pub fn restore(&mut self, snap: &BusSnapshot) {
         self.ram.restore(&snap.ram);
-        self.code_lines.copy_from_slice(&snap.code_lines);
-        self.code_generation = snap.code_generation;
     }
 
     /// Maps `device` at `[base, base + len)`.
@@ -202,7 +135,6 @@ impl Bus {
     /// Writes a word.
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         if self.ram.contains(addr, 4) {
-            self.note_store(addr, 4);
             return self.ram.write_u32(addr, value);
         }
         match self.window_mut(addr) {
@@ -243,7 +175,6 @@ impl Bus {
     /// Writes a half-word (RAM only).
     pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<(), MemError> {
         if self.ram.contains(addr, 2) {
-            self.note_store(addr, 2);
             return self.ram.write_u16(addr, value);
         }
         if self.window_mut(addr).is_some() {
@@ -255,7 +186,6 @@ impl Bus {
     /// Writes a byte (RAM only).
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
         if self.ram.contains(addr, 1) {
-            self.note_store(addr, 1);
             return self.ram.write_u8(addr, value);
         }
         if self.window_mut(addr).is_some() {
@@ -302,13 +232,11 @@ impl Bus {
     }
 }
 
-/// A point-in-time copy of the bus's written RAM pages and code-mark
-/// state (see [`Bus::snapshot`]).
+/// A point-in-time copy of the bus's written RAM pages (see
+/// [`Bus::snapshot`]).
 #[derive(Clone, Debug)]
 pub struct BusSnapshot {
     ram: RamImage,
-    code_lines: Vec<u64>,
-    code_generation: u64,
 }
 
 impl std::fmt::Debug for Bus {
@@ -428,60 +356,20 @@ mod tests {
     }
 
     #[test]
-    fn code_generation_bumps_only_on_marked_lines() {
-        let mut b = bus();
-        assert_eq!(b.code_generation(), 0);
-        // Unmarked stores never bump, wherever they land.
-        b.write_u32(0x100, 1).unwrap();
-        assert_eq!(b.code_generation(), 0);
-        // Mark the line holding 0x100; a store to any byte of it bumps.
-        b.mark_code(0x100);
-        b.write_u8(0x100 + CODE_LINE_BYTES - 1, 2).unwrap();
-        assert_eq!(b.code_generation(), 1);
-        // Stores to adjacent lines are invisible.
-        b.write_u32(0x100 + CODE_LINE_BYTES, 3).unwrap();
-        assert_eq!(b.code_generation(), 1);
-        // Clearing marks stops the bumping.
-        b.clear_code_marks();
-        b.write_u32(0x100, 4).unwrap();
-        assert_eq!(b.code_generation(), 1);
-        // MMIO writes never touch the counter.
-        b.mark_code(0x100);
-        b.write_u32(MMIO_BASE, 5).unwrap();
-        assert_eq!(b.code_generation(), 1);
-    }
-
-    #[test]
     fn snapshot_restore_roundtrips_ram_and_marks() {
-        let mut b = Bus::new(4096);
+        let mut b = Bus::new(3 * 4096);
         b.write_u32(0x10, 0xAAAA).unwrap();
-        b.mark_code(0x40);
-        b.write_u32(0x40, 1).unwrap(); // bumps generation to 1
         let snap = b.snapshot();
-        let generation = b.code_generation();
-        // Diverge: overwrite RAM, clear marks, bump generation again.
+        // Diverge: overwrite a saved page, write a page the snapshot
+        // does not hold.
         b.write_u32(0x10, 0xBBBB).unwrap();
-        b.mark_code(0x80);
-        b.write_u32(0x80, 2).unwrap();
-        assert_ne!(b.code_generation(), generation);
+        b.write_u32(0x2080, 2).unwrap();
         b.restore(&snap);
         assert_eq!(b.read_u32(0x10), Ok(0xAAAA));
-        assert_eq!(b.code_generation(), generation);
-        // The restored mark set is the snapshot's: 0x40 is marked (store
-        // bumps), 0x80 is not (store is invisible).
-        b.write_u32(0x80, 3).unwrap();
-        assert_eq!(b.code_generation(), generation);
-        b.write_u32(0x40, 4).unwrap();
-        assert_eq!(b.code_generation(), generation + 1);
-    }
-
-    #[test]
-    fn generation_wraps_instead_of_overflowing() {
-        let mut b = Bus::new(4096);
-        b.force_code_generation(u64::MAX);
-        b.mark_code(0x0);
-        b.write_u32(0x0, 1).unwrap();
-        assert_eq!(b.code_generation(), 0, "wrapped, not panicked");
+        assert_eq!(b.read_u32(0x2080), Ok(0));
+        // The restored page set is the snapshot's.
+        let pages: Vec<u32> = b.ram.nonzero_pages().map(|(page, _)| page).collect();
+        assert_eq!(pages, [0]);
     }
 
     #[test]

@@ -221,6 +221,57 @@ mod tests {
         assert!(!nic.irq_pending());
     }
 
+    /// The observable state of a NIC: every side-effect-free register
+    /// and the IRQ.
+    fn observe(nic: &mut Nic) -> (Vec<Result<u32, MemError>>, bool) {
+        let regs = [
+            REG_STATUS,
+            REG_LEN,
+            REG_RX_COUNT,
+            REG_ARRIVAL_LO,
+            REG_ARRIVAL_HI,
+        ];
+        (
+            regs.iter().map(|&r| nic.read(r)).collect(),
+            nic.irq_pending(),
+        )
+    }
+
+    #[test]
+    fn one_jump_equals_a_tick_per_cycle() {
+        let scheduled = || {
+            let (mut nic, handle) = Nic::new();
+            for (arrival, data) in [(10, &b"a"[..]), (20, b"bc"), (20, b"def"), (35, b"g")] {
+                handle.schedule(arrival, data);
+            }
+            nic.tick(1);
+            (nic, handle)
+        };
+        // Ends before, at, between and past the arrivals.
+        for end in [9, 10, 19, 20, 34, 35, 60] {
+            let (mut stepped, stepped_log) = scheduled();
+            for cycle in 2..=end {
+                stepped.tick(cycle);
+            }
+            let (mut jumped, jumped_log) = scheduled();
+            jumped.tick(end);
+            assert_eq!(observe(&mut stepped), observe(&mut jumped), "end {end}");
+            assert_eq!(
+                stepped_log.pending_schedule(),
+                jumped_log.pending_schedule()
+            );
+            // Acknowledge at the end: the completion logs match too.
+            stepped.write(REG_ACK, 1).unwrap();
+            jumped.write(REG_ACK, 1).unwrap();
+            assert_eq!(
+                stepped_log.take_completions(),
+                jumped_log.take_completions(),
+                "end {end}"
+            );
+            assert_eq!(observe(&mut stepped), observe(&mut jumped), "end {end}");
+        }
+    }
+
     #[test]
     fn arrival_cycle_readable() {
         let (mut nic, handle) = Nic::new();

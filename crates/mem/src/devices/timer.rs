@@ -135,6 +135,34 @@ mod tests {
         assert!(!t.irq_pending());
     }
 
+    /// The observable state of a timer: every register and the IRQ.
+    fn observe(t: &mut Timer) -> (Vec<Result<u32, MemError>>, bool) {
+        let regs = [REG_CYCLE_LO, REG_CYCLE_HI, REG_CMP_LO, REG_CMP_HI, REG_CTRL];
+        (regs.iter().map(|&r| t.read(r)).collect(), t.irq_pending())
+    }
+
+    #[test]
+    fn one_jump_equals_a_tick_per_cycle() {
+        let armed = || {
+            let mut t = Timer::new();
+            t.write(REG_CMP_LO, 100).unwrap();
+            t.write(REG_CTRL, 1).unwrap();
+            t.tick(1);
+            t
+        };
+        // Ends before, at, just after and well past the compare.
+        for end in [50, 99, 100, 101, 150] {
+            let mut stepped = armed();
+            for cycle in 2..=end {
+                stepped.tick(cycle);
+            }
+            let mut jumped = armed();
+            jumped.tick(end);
+            assert_eq!(observe(&mut stepped), observe(&mut jumped), "end {end}");
+            assert_eq!(jumped.irq_pending(), end >= 100);
+        }
+    }
+
     #[test]
     fn cycle_readable() {
         let mut t = Timer::new();

@@ -1,7 +1,13 @@
-//! Flat physical memory with a page bitmap.
+//! Physical memory whose pages get storage on first write.
 
 use crate::{MemError, PAGE_SHIFT, PAGE_SIZE};
 use std::ops::Range;
+
+/// The bytes of one page.
+type Page = [u8; PAGE_SIZE as usize];
+
+/// Mask of an address's offset within its page.
+const PAGE_MASK: usize = PAGE_SIZE as usize - 1;
 
 /// Byte-addressable physical RAM starting at address 0.
 ///
@@ -9,21 +15,25 @@ use std::ops::Range;
 /// naturally aligned (the pipeline raises a misaligned-access exception
 /// on [`MemError::Misaligned`]).
 ///
-/// Every mutator sets the bit of each [`PAGE_SIZE`] page it writes in a
-/// page bitmap, and the bytes are reachable only through the mutators,
-/// so an unmarked page is all zero by construction. That makes bus
-/// snapshots and restores ([`crate::Bus::snapshot`]) and
+/// RAM is a table of [`PAGE_SIZE`] pages. A page gets storage when a
+/// mutator (`write_u8/u16/u32`, `load`) first writes it, and a page
+/// without storage reads as zeros. A bitmap marks the pages that have
+/// storage, so bus snapshots and restores ([`crate::Bus::snapshot`]) and
 /// [`PhysMemory::nonzero_pages`] cost in proportion to the pages a
-/// program touched, not to the size of RAM. The last page is shorter
-/// than [`PAGE_SIZE`] when the size is not a multiple of it.
+/// program touched, and the host memory a machine holds follows what it
+/// wrote, not the size of RAM. The last page is shorter than
+/// [`PAGE_SIZE`] when the size is not a multiple of it.
 pub struct PhysMemory {
-    data: Vec<u8>,
-    /// One bit per page: set once the page may hold a non-zero byte.
+    size: usize,
+    /// One slot per page: `None` until a mutator first writes the page.
+    pages: Vec<Option<Box<Page>>>,
+    /// One bit per page: set exactly when the page has storage.
     marked: Vec<u64>,
 }
 
-/// A copy of the marked pages of a [`PhysMemory`], taken with
-/// [`PhysMemory::snapshot`] and applied with [`PhysMemory::restore`].
+/// A copy of the pages of a [`PhysMemory`] that have storage, taken
+/// with [`PhysMemory::snapshot`] and applied with
+/// [`PhysMemory::restore`].
 #[derive(Clone)]
 pub(crate) struct RamImage {
     size: usize,
@@ -57,13 +67,22 @@ fn page_range(page: usize, size: usize) -> Range<usize> {
     start..(start + PAGE_SIZE as usize).min(size)
 }
 
+/// A zero-filled page, allocated without passing through the stack.
+fn zeroed_page() -> Box<Page> {
+    vec![0; PAGE_SIZE as usize]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a page-sized slice")
+}
+
 impl PhysMemory {
-    /// Allocates `size` bytes of zeroed RAM.
+    /// Creates `size` bytes of zeroed RAM. No page has storage yet.
     #[must_use]
     pub fn new(size: usize) -> PhysMemory {
         let pages = size.div_ceil(PAGE_SIZE as usize);
         PhysMemory {
-            data: vec![0; size],
+            size,
+            pages: (0..pages).map(|_| None).collect(),
             marked: vec![0; pages.div_ceil(64)],
         }
     }
@@ -71,13 +90,13 @@ impl PhysMemory {
     /// Total size in bytes.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.data.len()
+        self.size
     }
 
     /// True if `addr..addr+len` lies within RAM.
     #[must_use]
     pub fn contains(&self, addr: u32, len: u32) -> bool {
-        (addr as u64 + len as u64) <= self.data.len() as u64
+        (addr as u64 + len as u64) <= self.size as u64
     }
 
     fn check(&self, addr: u32, len: u32) -> Result<usize, MemError> {
@@ -90,58 +109,68 @@ impl PhysMemory {
         Ok(addr as usize)
     }
 
-    /// Marks the page holding byte `i` (an aligned access never spans
-    /// two pages).
+    /// The page holding byte `i`, if it has storage.
     #[inline]
-    fn mark(&mut self, i: usize) {
+    fn page(&self, i: usize) -> Option<&Page> {
+        self.pages[i >> PAGE_SHIFT].as_deref()
+    }
+
+    /// The page holding byte `i`, given storage and marked on first use
+    /// (an aligned access never spans two pages).
+    #[inline]
+    fn page_mut(&mut self, i: usize) -> &mut Page {
         let page = i >> PAGE_SHIFT;
-        self.marked[page / 64] |= 1 << (page % 64);
+        let marked = &mut self.marked;
+        self.pages[page].get_or_insert_with(|| {
+            marked[page / 64] |= 1 << (page % 64);
+            zeroed_page()
+        })
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: u32) -> Result<u8, MemError> {
         let i = self.check(addr, 1)?;
-        Ok(self.data[i])
+        Ok(self.page(i).map_or(0, |p| p[i & PAGE_MASK]))
     }
 
     /// Reads a little-endian half-word.
     pub fn read_u16(&self, addr: u32) -> Result<u16, MemError> {
         let i = self.check(addr, 2)?;
-        Ok(u16::from_le_bytes([self.data[i], self.data[i + 1]]))
+        let o = i & PAGE_MASK;
+        Ok(self
+            .page(i)
+            .map_or(0, |p| u16::from_le_bytes([p[o], p[o + 1]])))
     }
 
     /// Reads a little-endian word.
     pub fn read_u32(&self, addr: u32) -> Result<u32, MemError> {
         let i = self.check(addr, 4)?;
-        Ok(u32::from_le_bytes([
-            self.data[i],
-            self.data[i + 1],
-            self.data[i + 2],
-            self.data[i + 3],
-        ]))
+        let o = i & PAGE_MASK;
+        Ok(self.page(i).map_or(0, |p| {
+            u32::from_le_bytes([p[o], p[o + 1], p[o + 2], p[o + 3]])
+        }))
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
         let i = self.check(addr, 1)?;
-        self.mark(i);
-        self.data[i] = value;
+        self.page_mut(i)[i & PAGE_MASK] = value;
         Ok(())
     }
 
     /// Writes a little-endian half-word.
     pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<(), MemError> {
         let i = self.check(addr, 2)?;
-        self.mark(i);
-        self.data[i..i + 2].copy_from_slice(&value.to_le_bytes());
+        let o = i & PAGE_MASK;
+        self.page_mut(i)[o..o + 2].copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
     /// Writes a little-endian word.
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let i = self.check(addr, 4)?;
-        self.mark(i);
-        self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        let o = i & PAGE_MASK;
+        self.page_mut(i)[o..o + 4].copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -150,20 +179,45 @@ impl PhysMemory {
         if !self.contains(addr, bytes.len() as u32) {
             return Err(MemError::OutOfBounds { addr });
         }
-        let i = addr as usize;
-        for page in (i >> PAGE_SHIFT)..(i + bytes.len()).div_ceil(PAGE_SIZE as usize) {
-            self.mark(page << PAGE_SHIFT);
+        let mut i = addr as usize;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let o = i & PAGE_MASK;
+            let (part, tail) = rest.split_at(rest.len().min(PAGE_SIZE as usize - o));
+            self.page_mut(i)[o..o + part.len()].copy_from_slice(part);
+            i += part.len();
+            rest = tail;
         }
-        self.data[i..i + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
-    /// Reads a byte slice out of RAM.
-    pub fn dump(&self, addr: u32, len: u32) -> Result<&[u8], MemError> {
+    /// Copies a byte range out of RAM (pages without storage read as
+    /// zeros).
+    pub fn dump(&self, addr: u32, len: u32) -> Result<Vec<u8>, MemError> {
         if !self.contains(addr, len) {
             return Err(MemError::OutOfBounds { addr });
         }
-        Ok(&self.data[addr as usize..(addr + len) as usize])
+        let mut out = Vec::with_capacity(len as usize);
+        let mut i = addr as usize;
+        let end = i + len as usize;
+        while i < end {
+            let o = i & PAGE_MASK;
+            let n = (end - i).min(PAGE_SIZE as usize - o);
+            match self.page(i) {
+                Some(p) => out.extend_from_slice(&p[o..o + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            i += n;
+        }
+        Ok(out)
+    }
+
+    /// The bytes of a marked page, cut to the size of RAM.
+    fn marked_bytes(&self, page: usize) -> &[u8] {
+        let bytes = self.pages[page]
+            .as_deref()
+            .expect("a marked page has storage");
+        &bytes[..page_range(page, self.size).len()]
     }
 
     /// The pages holding at least one non-zero byte, as `(page index,
@@ -173,7 +227,7 @@ impl PhysMemory {
     /// skipped like a page never written).
     pub fn nonzero_pages(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
         set_bits(self.marked.iter().copied()).filter_map(|page| {
-            let bytes = &self.data[page_range(page, self.data.len())];
+            let bytes = self.marked_bytes(page);
             bytes
                 .iter()
                 .any(|&b| b != 0)
@@ -184,38 +238,38 @@ impl PhysMemory {
     /// Copies the marked pages and the page bitmap.
     #[must_use]
     pub(crate) fn snapshot(&self) -> RamImage {
-        let size = self.data.len();
         let mut pages = Vec::new();
         for page in set_bits(self.marked.iter().copied()) {
-            pages.extend_from_slice(&self.data[page_range(page, size)]);
+            pages.extend_from_slice(self.marked_bytes(page));
         }
         RamImage {
-            size,
+            size: self.size,
             marked: self.marked.clone(),
             pages,
         }
     }
 
-    /// Rewinds to `image` without reallocating. Only pages marked here
-    /// or in the image are rewritten: the image's pages are copied in,
-    /// the rest are zero-filled, and the image's bitmap is taken over.
+    /// Rewinds to `image`. Only pages marked here or in the image are
+    /// visited: the image's pages are copied in (given storage if they
+    /// have none), the others lose their storage, and the image's bitmap
+    /// is taken over.
     ///
     /// # Panics
     ///
     /// Panics if the image was taken from a memory of another size.
     pub(crate) fn restore(&mut self, image: &RamImage) {
-        let size = self.data.len();
-        assert_eq!(size, image.size, "RAM size mismatch on restore");
+        assert_eq!(self.size, image.size, "RAM size mismatch on restore");
         let mut saved = image.pages.as_slice();
         let live_or_kept = self.marked.iter().zip(&image.marked).map(|(a, b)| a | b);
         for page in set_bits(live_or_kept) {
-            let range = page_range(page, size);
+            let slot = &mut self.pages[page];
             if is_set(&image.marked, page) {
-                let (bytes, rest) = saved.split_at(range.len());
-                self.data[range].copy_from_slice(bytes);
+                let len = page_range(page, self.size).len();
+                let (bytes, rest) = saved.split_at(len);
+                slot.get_or_insert_with(zeroed_page)[..len].copy_from_slice(bytes);
                 saved = rest;
             } else {
-                self.data[range].fill(0);
+                *slot = None;
             }
         }
         self.marked.copy_from_slice(&image.marked);
@@ -224,7 +278,7 @@ impl PhysMemory {
 
 impl std::fmt::Debug for PhysMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PhysMemory({} bytes)", self.data.len())
+        write!(f, "PhysMemory({} bytes)", self.size)
     }
 }
 
@@ -294,6 +348,29 @@ mod tests {
         assert_eq!(m.snapshot().pages.len(), 0);
         m.load(PAGE_SIZE - 2, &[7; 4]).unwrap();
         assert_eq!(m.snapshot().pages.len(), 2 * PAGE_SIZE as usize);
+    }
+
+    #[test]
+    fn pages_get_storage_on_first_write_only() {
+        let allocated = |m: &PhysMemory| m.pages.iter().filter(|p| p.is_some()).count();
+        let mut m = PhysMemory::new(16 << 20);
+        assert_eq!(allocated(&m), 0);
+        // Reads of unwritten pages see zeros and allocate nothing.
+        assert_eq!(m.read_u32(0x10_0000), Ok(0));
+        assert_eq!(m.read_u16(0x20_0002), Ok(0));
+        assert_eq!(m.read_u8((16 << 20) - 1), Ok(0));
+        assert_eq!(m.dump(0x3F_F000, 0x2000).unwrap(), vec![0; 0x2000]);
+        assert_eq!(m.nonzero_pages().count(), 0);
+        assert_eq!(allocated(&m), 0);
+        // A write gives exactly its page storage.
+        m.write_u8(0x10_0003, 9).unwrap();
+        assert_eq!(allocated(&m), 1);
+        assert_eq!(m.read_u32(0x10_0000), Ok(9 << 24));
+        // Restoring an empty image takes the storage away again.
+        let empty = PhysMemory::new(16 << 20).snapshot();
+        m.restore(&empty);
+        assert_eq!(allocated(&m), 0);
+        assert_eq!(m.read_u32(0x10_0000), Ok(0));
     }
 
     #[test]
@@ -410,6 +487,7 @@ mod tests {
         let size = model.len();
         assert_eq!(mem.dump(0, size as u32).unwrap(), model);
         for page in 0..size.div_ceil(PAGE_SIZE as usize) {
+            assert_eq!(is_set(&mem.marked, page), mem.pages[page].is_some());
             if !is_set(&mem.marked, page) {
                 let range = page_range(page, size);
                 assert!(model[range].iter().all(|&b| b == 0), "page {page}");

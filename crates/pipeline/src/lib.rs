@@ -14,7 +14,8 @@
 //!
 //! Both engines fetch through [`state::DecodeCache`], a shared
 //! physical-address-keyed cache of pre-decoded instructions kept
-//! coherent with self-modifying code by a bus generation counter.
+//! coherent with self-modifying code at store time: a store drops the
+//! cached decode of the word it writes.
 //!
 //! The baseline (non-Metal) processor is `Core<NoHooks>`: Metal
 //! instructions raise illegal-instruction traps and all traps vector

@@ -19,6 +19,13 @@
 //!   [`DecodeOutcome::Replace`] path: the decode slot is rewritten in
 //!   place and fetch is redirected with *zero* bubbles when the
 //!   replacement source is 1-cycle (MRAM).
+//! * **Frozen cycles**: [`Core::tick`] advances exactly one cycle.
+//!   [`Core::run`] and [`Core::step_insns`] also skip runs of *frozen*
+//!   cycles, in which every stage only counts down a stall or waits on
+//!   a neighbour: they advance the cycle and stall counters by the whole
+//!   run in one step and tick the bus once at its end. Every simulated
+//!   count and the trace are what ticking one cycle at a time gives
+//!   (`tests/stall_skip.rs` checks this against `tick`).
 
 use crate::hooks::{DecodeOutcome, Hooks, TrapDisposition, TrapEvent};
 use crate::state::{CoreConfig, HaltReason, MachineState};
@@ -31,6 +38,10 @@ use metal_trace::{EventKind, StallKind};
 /// Maximum chained decode-slot replacements in one cycle before the
 /// pipeline declares a runaway and faults.
 const MAX_REPLACE_CHAIN: usize = 16;
+
+/// Cycles without a retirement after which [`Core::run`] declares a
+/// livelock (outside `wfi`).
+const LIVELOCK_CYCLES: u64 = 100_000;
 
 /// IF → ID latch. Fetch delivers instructions pre-decoded (the decode
 /// cache does the word→[`DecodedInsn`] work at most once per word); ID
@@ -781,16 +792,20 @@ impl<H: Hooks> Core<H> {
     /// halt reason if the machine stopped.
     pub fn run(&mut self, max_cycles: u64) -> Option<HaltReason> {
         let start = self.state.perf.cycles;
+        let end = start.saturating_add(max_cycles);
         let mut last_retire = (self.state.perf.cycles, self.state.perf.instret);
         while self.state.halted.is_none() && self.state.perf.cycles - start < max_cycles {
             self.tick();
             if self.state.perf.instret != last_retire.1 {
                 last_retire = (self.state.perf.cycles, self.state.perf.instret);
-            } else if !self.wfi && self.state.perf.cycles - last_retire.0 > 100_000 {
+            } else if !self.wfi && self.state.perf.cycles - last_retire.0 > LIVELOCK_CYCLES {
                 self.state.halted = Some(HaltReason::Fatal(format!(
-                    "livelock: no instruction retired for 100000 cycles near pc {:#010x}",
+                    "livelock: no instruction retired for {LIVELOCK_CYCLES} cycles near pc {:#010x}",
                     self.pc
                 )));
+            }
+            if self.some_counter_above_one() {
+                self.skip_frozen(end.min(last_retire.0 + LIVELOCK_CYCLES));
             }
         }
         self.state.halted.clone()
@@ -801,7 +816,93 @@ impl<H: Hooks> Core<H> {
         let target = self.state.perf.instret + n;
         while self.state.halted.is_none() && self.state.perf.instret < target {
             self.tick();
+            if self.state.perf.instret < target && self.some_counter_above_one() {
+                self.skip_frozen(u64::MAX);
+            }
         }
+    }
+
+    /// True when some stage is counting down a multi-cycle stall with
+    /// more than one cycle left: the cheap pre-check for
+    /// [`Core::skip_frozen`].
+    #[inline]
+    fn some_counter_above_one(&self) -> bool {
+        (self.mem_busy | self.ex_busy | self.id_stall | self.if_busy) > 1
+    }
+
+    /// Advances through the frozen ticks ahead, stopping at cycle
+    /// `limit` at the latest, exactly as [`Core::tick`] would one cycle
+    /// at a time.
+    ///
+    /// A tick is frozen when it retires nothing (`mem_wb` is empty) and
+    /// every stage either counts down a stall with more than one cycle
+    /// left or is blocked: such a tick only bumps `cycles`, the counting
+    /// stages' counters and their stall counts, and ticks the bus. It
+    /// stays frozen until the smallest counter reaches 1, so `k` ticks
+    /// collapse into one step. The bus is ticked once, at the last
+    /// skipped cycle ([`metal_mem::Device::tick`] may advance many
+    /// cycles at once); no stage samples the interrupt level in between.
+    fn skip_frozen(&mut self, limit: u64) {
+        if self.state.halted.is_some() || self.mem_wb.is_some() {
+            return;
+        }
+        // Frozen ticks left before the first counter reaches 1.
+        let mut k = u32::MAX;
+        let mut count = |counter: u32| k = k.min(counter - 1);
+        // MEM: counting, or idle.
+        if self.mem_busy > 1 {
+            count(self.mem_busy);
+        } else if self.mem_busy == 1 || self.ex_mem.is_some() {
+            return;
+        }
+        // EX: counting, or waiting on MEM or on an empty ID/EX latch.
+        if self.ex_busy > 1 {
+            count(self.ex_busy);
+        } else if self.ex_busy == 1 || self.mem_busy == 0 && self.id_ex.is_some() {
+            return;
+        }
+        // ID: counting, or waiting on a full ID/EX latch or for input.
+        if self.id_stall > 1 {
+            count(self.id_stall);
+        } else if self.id_stall == 1
+            || self.id_ex.is_none() && (self.id_hold.is_some() || self.if_id.is_some())
+        {
+            return;
+        }
+        // IF: counting, or waiting on a full IF/ID latch.
+        if self.if_busy > 1 {
+            count(self.if_busy);
+        } else if self.if_busy == 1 || self.if_id.is_none() {
+            return;
+        }
+        // The caller saw a counter above one, so some stage counts and
+        // `k` is finite.
+        let k = u64::from(k).min(limit.saturating_sub(self.state.perf.cycles));
+        if k == 0 {
+            return;
+        }
+        let step = k as u32;
+        let perf = &mut self.state.perf;
+        perf.cycles += k;
+        if self.mem_busy > 0 {
+            self.mem_busy -= step;
+            perf.mem_stall += k;
+        }
+        if self.ex_busy > 0 {
+            self.ex_busy -= step;
+            perf.ex_stall += k;
+        }
+        if self.id_stall > 0 {
+            self.id_stall -= step;
+            perf.fetch_stall += k;
+        }
+        if self.if_busy > 0 {
+            self.if_busy -= step;
+            perf.fetch_stall += k;
+        }
+        let cycle = perf.cycles;
+        self.state.trace.set_now(cycle);
+        self.state.perf.mip_snapshot = self.state.bus.tick(cycle);
     }
 
     /// True when no live instruction is in flight: every inter-stage

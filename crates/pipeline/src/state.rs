@@ -237,12 +237,12 @@ struct DecodeSlot {
 /// address, shared by both execution engines via
 /// [`MachineState::fetch_decoded`].
 ///
-/// Coherence uses a generation protocol: every insert marks the
-/// containing RAM line code-resident on the bus, the bus bumps its
-/// generation on any store to a marked line, and the next fetch flushes
-/// the whole cache on a generation mismatch — so self-modifying code
-/// always re-decodes. Host-side RAM writes that bypass the bus (program
-/// loads) must call [`MachineState::invalidate_decode_cache`].
+/// Coherence is kept at store time: [`MachineState::store`] and
+/// [`MachineState::phys_store`], the only run-time RAM writers, drop the
+/// slot holding the stored-to word, so self-modifying code always
+/// re-decodes and every other cached word stays. Host-side RAM writes
+/// that bypass them (program loads) must call
+/// [`MachineState::invalidate_decode_cache`].
 ///
 /// The cache is a *host-side* optimization only: a hit skips the RAM
 /// read and the decode, but the icache/TLB timing models and their
@@ -252,8 +252,6 @@ struct DecodeSlot {
 pub struct DecodeCache {
     slots: Vec<DecodeSlot>,
     enabled: bool,
-    /// Snapshot of the bus generation the cached contents are valid for.
-    generation: u64,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -270,7 +268,6 @@ impl DecodeCache {
                 DECODE_CACHE_SLOTS
             ],
             enabled,
-            generation: 0,
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -295,7 +292,8 @@ impl DecodeCache {
         self.misses
     }
 
-    /// Whole-cache flushes (generation mismatches and program loads).
+    /// Whole-cache flushes (program loads) plus stores that hit a
+    /// cached word.
     #[must_use]
     pub fn invalidations(&self) -> u64 {
         self.invalidations
@@ -323,6 +321,17 @@ impl DecodeCache {
         self.slots[Self::index(pa)] = DecodeSlot { pa, data };
     }
 
+    /// Drops the slot holding the word at `pa`, if it is cached.
+    #[inline]
+    fn forget(&mut self, pa: u32) {
+        let word = pa & !3;
+        let slot = &mut self.slots[Self::index(word)];
+        if slot.pa == word {
+            slot.pa = DECODE_SLOT_EMPTY;
+            self.invalidations += 1;
+        }
+    }
+
     fn flush(&mut self) {
         for slot in &mut self.slots {
             slot.pa = DECODE_SLOT_EMPTY;
@@ -335,7 +344,6 @@ impl DecodeCache {
     fn copy_from(&mut self, other: &DecodeCache) {
         self.slots.copy_from_slice(&other.slots);
         self.enabled = other.enabled;
-        self.generation = other.generation;
         self.hits = other.hits;
         self.misses = other.misses;
         self.invalidations = other.invalidations;
@@ -610,13 +618,6 @@ impl MachineState {
             return Err(Trap::new(TrapCause::InsnAccessFault, pc));
         }
         if self.decode_cache.enabled {
-            if self.decode_cache.generation != self.bus.code_generation() {
-                // A store hit a code-resident line since we last looked:
-                // drop every cached entry and start a fresh epoch.
-                self.decode_cache.flush();
-                self.bus.clear_code_marks();
-                self.decode_cache.generation = self.bus.code_generation();
-            }
             if let Some(d) = self.decode_cache.lookup(pa) {
                 let latency = self.icache_access(pa);
                 return Ok((d, latency + walk_cycles));
@@ -630,19 +631,16 @@ impl MachineState {
         let d = decode_to(word);
         if self.decode_cache.enabled {
             self.decode_cache.insert(pa, d);
-            self.bus.mark_code(pa);
         }
         Ok((d, latency + walk_cycles))
     }
 
-    /// Flushes the decode cache and its bus-side code marks. Must be
-    /// called after host-side RAM writes that bypass the bus (program
-    /// loads), which the generation protocol cannot observe.
+    /// Flushes the decode cache. Must be called after host-side RAM
+    /// writes that bypass [`MachineState::store`] and
+    /// [`MachineState::phys_store`] (program loads).
     pub fn invalidate_decode_cache(&mut self) {
         if self.decode_cache.enabled {
             self.decode_cache.flush();
-            self.bus.clear_code_marks();
-            self.decode_cache.generation = self.bus.code_generation();
         }
     }
 
@@ -704,6 +702,7 @@ impl MachineState {
             StoreOp::Sw => self.bus.write_u32(pa, value),
         }
         .map_err(|e| Self::mem_trap(AccessKind::Write, e))?;
+        self.decode_cache.forget(pa);
         let latency = if pa >= MMIO_BASE {
             self.mmio_latency
         } else {
@@ -734,6 +733,7 @@ impl MachineState {
         self.bus
             .write_u32(pa, value)
             .map_err(|e| Self::mem_trap(AccessKind::Write, e))?;
+        self.decode_cache.forget(pa);
         Ok(self.phys_latency)
     }
 }
@@ -884,8 +884,8 @@ mod tests {
         let (d2, _) = m.fetch_decoded(0x100).unwrap();
         assert_eq!(m.decode_cache.hits(), 1);
         assert_eq!(d1, d2);
-        // A store through the bus to the fetched line flushes the cache;
-        // the next fetch sees the new word.
+        // A store to the fetched word forgets it; the next fetch sees
+        // the new word.
         m.store(0x100, StoreOp::Sw, 0x02A0_0513).unwrap(); // addi a0, x0, 42
         let (d3, _) = m.fetch_decoded(0x100).unwrap();
         assert_eq!(m.decode_cache.invalidations(), inv_base + 1);
@@ -924,39 +924,105 @@ mod tests {
         assert_eq!(m.phys_load(0x300).unwrap().0, 77);
     }
 
-    #[test]
-    fn decode_cache_survives_generation_wraparound() {
-        let mut m = machine();
-        m.bus.ram.write_u32(0x100, 0x0000_0013).unwrap(); // nop
+    const NOP: u32 = 0x0000_0013;
+    const ADDI_A0_42: u32 = 0x02A0_0513;
+
+    /// Writes a nop at each of `pas` host-side and caches its decode.
+    fn cached_nops(m: &mut MachineState, pas: &[u32]) {
+        for &pa in pas {
+            m.bus.ram.write_u32(pa, NOP).unwrap();
+        }
         m.invalidate_decode_cache();
-        // Park the bus generation at the wrap boundary. The decode
-        // cache resynchronizes on the next fetch (inequality, not
-        // ordering, drives the protocol).
-        m.bus.force_code_generation(u64::MAX);
-        let (d1, _) = m.fetch_decoded(0x100).unwrap();
-        assert_eq!(d1.word, 0x0000_0013);
-        let (_, _) = m.fetch_decoded(0x100).unwrap();
-        assert_eq!(m.decode_cache.hits(), 1, "stable across the boundary");
-        // The store wraps the generation to 0; the stale entry must
-        // still be dropped even though the counter went "backwards".
-        m.store(0x100, StoreOp::Sw, 0x02A0_0513).unwrap(); // addi a0, x0, 42
-        assert_eq!(m.bus.code_generation(), 0, "generation wrapped");
-        let (d2, _) = m.fetch_decoded(0x100).unwrap();
-        assert_eq!(d2.word, 0x02A0_0513, "stale decode served after wrap");
+        for &pa in pas {
+            m.fetch_decoded(pa).unwrap();
+        }
+    }
+
+    #[test]
+    fn store_forgets_only_its_word() {
+        let mut m = machine();
+        // Both words sit in one 64-byte line.
+        cached_nops(&mut m, &[0x100, 0x104]);
+        let inv = m.decode_cache.invalidations();
+        let hits = m.decode_cache.hits();
+        m.store(0x100, StoreOp::Sw, ADDI_A0_42).unwrap();
+        assert_eq!(m.decode_cache.invalidations(), inv + 1);
+        assert_eq!(m.fetch_decoded(0x104).unwrap().0.word, NOP);
+        assert_eq!(m.decode_cache.hits(), hits + 1, "the neighbour still hits");
+        assert_eq!(m.fetch_decoded(0x100).unwrap().0.word, ADDI_A0_42);
+        assert_eq!(
+            m.decode_cache.misses(),
+            3,
+            "only the stored word re-decodes"
+        );
+        // A store to a word that is not cached forgets nothing.
+        m.store(0x108, StoreOp::Sw, 7).unwrap();
+        assert_eq!(m.decode_cache.invalidations(), inv + 1);
+    }
+
+    #[test]
+    fn subword_stores_forget_their_word() {
+        let mut m = machine();
+        cached_nops(&mut m, &[0x100, 0x104]);
+        m.store(0x103, StoreOp::Sb, 0x02).unwrap();
+        m.store(0x106, StoreOp::Sh, 0x02A0).unwrap();
+        assert_eq!(m.fetch_decoded(0x100).unwrap().0.word, 0x0200_0013);
+        assert_eq!(m.fetch_decoded(0x104).unwrap().0.word, 0x02A0_0013);
+        assert_eq!(m.decode_cache.hits(), 0);
+    }
+
+    #[test]
+    fn phys_store_forgets_its_word() {
+        let mut m = machine();
+        cached_nops(&mut m, &[0x100, 0x104]);
+        m.phys_store(0x100, ADDI_A0_42).unwrap();
+        assert_eq!(m.fetch_decoded(0x100).unwrap().0.word, ADDI_A0_42);
+        assert_eq!(m.fetch_decoded(0x104).unwrap().0.word, NOP);
+        assert_eq!(m.decode_cache.hits(), 1);
+    }
+
+    #[test]
+    fn store_through_an_alias_va_forgets_the_pa() {
+        let mut m = machine();
+        cached_nops(&mut m, &[0x1100]);
+        // Store through va 0x5100, an alias of the cached pa 0x1100.
+        m.translation = TranslationMode::SoftTlb;
+        m.tlb
+            .install(0x5000, Pte::new(0x1000, Pte::V | Pte::R | Pte::W), 0);
+        m.store(0x5100, StoreOp::Sw, ADDI_A0_42).unwrap();
+        m.translation = TranslationMode::Bare;
+        assert_eq!(m.fetch_decoded(0x1100).unwrap().0.word, ADDI_A0_42);
+    }
+
+    #[test]
+    fn restore_serves_the_snapshot_time_decode() {
+        let mut m = machine();
+        cached_nops(&mut m, &[0x100]);
+        let snap = m.snapshot();
+        m.store(0x100, StoreOp::Sw, ADDI_A0_42).unwrap();
+        assert_eq!(m.fetch_decoded(0x100).unwrap().0.word, ADDI_A0_42);
+        m.restore(&snap);
+        let hits = m.decode_cache.hits();
+        assert_eq!(m.fetch_decoded(0x100).unwrap().0.word, NOP);
+        assert_eq!(
+            m.decode_cache.hits(),
+            hits + 1,
+            "served from the restored slot"
+        );
     }
 
     #[test]
     fn load_image_invalidates_line_straddling_install() {
         let mut m = machine();
-        // Cache decodes on both sides of a 64-byte code-line boundary.
+        // Cache decodes on both sides of a 64-byte line boundary.
         m.bus.ram.write_u32(0x13C, 0x0000_0013).unwrap(); // nop (line 0x100)
         m.bus.ram.write_u32(0x140, 0x0000_0013).unwrap(); // nop (line 0x140)
         m.invalidate_decode_cache();
         let (_, _) = m.fetch_decoded(0x13C).unwrap();
         let (_, _) = m.fetch_decoded(0x140).unwrap();
         // Install a segment straddling that boundary host-side (the
-        // path an MRAM/program install takes — invisible to the bus
-        // generation protocol, so load_image must flush explicitly).
+        // path an MRAM/program install takes — it bypasses the store
+        // path, so load_image must flush explicitly).
         let addi_a0 = 0x02A0_0513u32.to_le_bytes(); // addi a0, x0, 42
         let addi_a1 = 0x0150_0593u32.to_le_bytes(); // addi a1, x0, 21
         let mut seg = Vec::new();

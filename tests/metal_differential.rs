@@ -3,7 +3,7 @@
 //! must leave the pipelined core and the reference interpreter in
 //! identical architectural state. A second generator produces
 //! self-modifying programs that patch already-executed code, pinning
-//! the decode cache's generation-counter invalidation on both engines.
+//! the decode cache's store-time invalidation on both engines.
 
 mod common;
 
@@ -60,8 +60,8 @@ fn engines_agree_on_self_modifying_code() {
             expected,
             "{label}: stale decode survived the store\nguest:\n{guest}"
         );
-        // The store to the already-decoded line must have tripped the
-        // generation counter on both engines: one invalidation from
+        // The store to the already-decoded word must have dropped its
+        // cached decode on both engines: one invalidation from
         // load_segments, at least one from the patch.
         for (name, dc) in [
             ("core", &pair.core.state.decode_cache),
